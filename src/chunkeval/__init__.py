@@ -25,13 +25,12 @@ from .analysis import (
     spearman,
 )
 from .chunker import (
-    ChangedSlot,
     Chunk,
     ChunkedSample,
-    changed_slots,
     chunk_length,
     chunk_table,
     partition,
+    slot_spans,
 )
 from .corpus import (
     AnnotatedSample,
@@ -63,7 +62,6 @@ from .scoring import (
     VariantResult,
     WeightConfig,
     accuracy,
-    aggregate_corpus,
     aggregate_sentence,
     compute_ell,
     default_config,
@@ -84,7 +82,6 @@ __all__ = [
     "AnnotatedSample",
     "BoundaryStats",
     "BoundsError",
-    "ChangedSlot",
     "Chunk",
     "ChunkedSample",
     "DataError",
@@ -105,12 +102,10 @@ __all__ = [
     "VariantResult",
     "WeightConfig",
     "accuracy",
-    "aggregate_corpus",
     "aggregate_sentence",
     "align",
     "apply_edits",
     "boundary_stats",
-    "changed_slots",
     "chunk_length",
     "chunk_table",
     "compute_ell",
@@ -134,6 +129,7 @@ __all__ = [
     "run_variant",
     "score_sentence_dependent",
     "score_sentence_independent",
+    "slot_spans",
     "spearman",
     "sum_counts",
     "tokenize",

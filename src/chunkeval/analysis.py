@@ -1,7 +1,7 @@
 """Boundary statistics and correlation against human judgment tables.
 
-Boundary statistics hold each annotator out in turn, partition the sentence
-from the remaining annotators' edits, and classify every held-out edit as
+Boundary statistics hold each annotator out in turn, merge the remaining
+annotators' edits into changed slots, and classify every held-out edit as
 falling inside a changed slot (ICC), inside an unchanged chunk (IUC), or
 crossing a boundary (CC).
 """
@@ -10,7 +10,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .chunker import UNCHANGED, chunk_length, partition
+from .chunker import UNCHANGED, chunk_length, partition, slot_spans
 from .corpus import AnnotatedSample, apply_edits
 from .errors import (
     DegenerateError,
@@ -34,14 +34,14 @@ class BoundaryStats:
     edits_total: int
 
 
-def _classify_edit(edit, slot_spans, unchanged_spans) -> str:
+def _classify_edit(edit, slots, unchanged) -> str:
     # Closed-interval containment; slots take precedence so a point edit on
     # a slot boundary counts as in-chunk.
     s, e = edit.start, edit.end
-    for a, b in slot_spans:
+    for a, b in slots:
         if a <= s and e <= b:
             return "icc"
-    for a, b in unchanged_spans:
+    for a, b in unchanged:
         if a <= s and e <= b:
             return "iuc"
     return "cc"
@@ -65,20 +65,15 @@ def boundary_stats(
                 f"sample {i} has {len(ids)} annotator(s); need at least 2"
             )
         for held_out in ids:
-            others = [
-                (aid, sample.annotations[aid]) for aid in ids if aid != held_out
-            ]
-            cs = partition(sample.source, (), others)
-            slot_spans = [cs.boundary_spans[k] for k in cs.changed_indices]
-            changed = set(cs.changed_indices)
-            unchanged_spans = [
-                span
-                for k, span in enumerate(cs.boundary_spans)
-                if k not in changed
-            ]
+            spans, changed = slot_spans(
+                len(sample.source),
+                [sample.annotations[aid] for aid in ids if aid != held_out],
+            )
+            slots = [spans[k] for k in changed]
+            unchanged = [span for k, span in enumerate(spans) if k not in changed]
             local = {"icc": 0, "iuc": 0, "cc": 0}
             for edit in sample.annotations[held_out]:
-                local[_classify_edit(edit, slot_spans, unchanged_spans)] += 1
+                local[_classify_edit(edit, slots, unchanged)] += 1
             for key, value in local.items():
                 counts[key] += value
             m = sum(local.values())
@@ -188,10 +183,9 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class HumanTable:
-    """System id -> human score, with the ranking method used to produce it."""
+    """System id -> human score."""
 
     scores: dict[str, float]
-    method: str = ""
 
 
 def correlate(
@@ -208,7 +202,7 @@ def correlate(
     return pearson(xs, ys), spearman(xs, ys)
 
 
-def load_human_table(text: str, method: str = "") -> HumanTable:
+def load_human_table(text: str) -> HumanTable:
     """Parse a TSV of ``system<TAB>score`` rows below that exact header."""
     lines = text.splitlines()
     if not lines or [c.strip() for c in lines[0].split("\t")] != ["system", "score"]:
@@ -227,7 +221,7 @@ def load_human_table(text: str, method: str = "") -> HumanTable:
             scores[system] = float(cells[1])
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
-    return HumanTable(scores, method)
+    return HumanTable(scores)
 
 
 def load_metric_scores(text: str, variant: str | None = None) -> dict[str, float]:

@@ -6,11 +6,10 @@ Every sequence is then segmented into the same number of chunks: the slots
 plus the unchanged stretches between them.
 """
 
-from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .corpus import Edit, TokenSeq, apply_edits, check_edits
+from .corpus import Edit, TokenSeq, check_edits
 
 UNCHANGED = "unchanged"
 CORRECTED = "corrected"
@@ -58,69 +57,66 @@ class ChunkedSample:
         return tuple(chunks)
 
 
-@dataclass(frozen=True)
-class ChangedSlot:
-    """Per-sequence view of one changed slot."""
+def slot_spans(
+    source_len: int, edit_sets: Iterable[Iterable[Edit]]
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """Merge pooled edit intervals into changed slots and lay out every chunk.
 
-    index: int
-    src_start: int
-    src_end: int
-    hyp: Chunk
-    refs: tuple[tuple[int, Chunk], ...]
-
-    @property
-    def hyp_changed(self) -> bool:
-        return self.hyp.kind == CORRECTED
-
-    def changed_refs(self) -> list[tuple[int, Chunk]]:
-        return [(aid, c) for aid, c in self.refs if c.kind == CORRECTED]
-
-
-def _merge_intervals(edits: Sequence[Edit]) -> list[tuple[int, int]]:
-    """Merge closed intervals [start, end] that overlap or touch."""
-    intervals = sorted((e.start, e.end) for e in edits)
-    merged: list[tuple[int, int]] = []
+    Closed intervals [start, end] that overlap or touch merge into one slot;
+    the unchanged stretches between slots fill the rest of the source.
+    Returns all chunk spans in source order and the indices of the slots.
+    """
+    intervals = sorted((e.start, e.end) for edits in edit_sets for e in edits)
+    spans: list[tuple[int, int]] = []
+    changed: list[int] = []
+    pos = 0  # end of the last slot
     for s, e in intervals:
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    return merged
+        if changed and s <= pos:
+            if e > pos:
+                pos = e
+                spans[-1] = (spans[-1][0], e)
+            continue
+        if s > pos:
+            spans.append((pos, s))
+        changed.append(len(spans))
+        spans.append((s, e))
+        pos = e
+    if pos < source_len or not spans:
+        spans.append((pos, source_len))
+    return tuple(spans), tuple(changed)
 
 
 def _segment_sequence(
     source: TokenSeq,
     edits: tuple[Edit, ...],
-    spans: list[tuple[int, int]],
-    slot_flags: list[bool],
+    spans: tuple[tuple[int, int], ...],
+    changed: tuple[int, ...],
+    template: list[Chunk | None],
 ) -> tuple[Chunk, ...]:
-    slot_starts = [a for (a, _), is_slot in zip(spans, slot_flags) if is_slot]
-    slot_positions = [i for i, is_slot in enumerate(slot_flags) if is_slot]
-    by_slot: dict[int, list[Edit]] = {}
-    for e in edits:
-        k = bisect_right(slot_starts, e.start) - 1
-        idx = slot_positions[k]
+    """Fill the slots of ``template`` by splicing sorted, checked edits."""
+    chunks = list(template)
+    i = 0
+    for idx in changed:
         a, b = spans[idx]
-        if not (a <= e.start and e.end <= b):
-            raise AssertionError("edit escaped its merged slot")
-        by_slot.setdefault(idx, []).append(e)
-
-    chunks: list[Chunk] = []
-    for idx, ((a, b), is_slot) in enumerate(zip(spans, slot_flags)):
-        src_seg = source[a:b]
-        if not is_slot:
-            chunks.append(Chunk(idx, a, b, src_seg, UNCHANGED))
-            continue
-        local = [
-            Edit(e.start - a, e.end - a, e.replacement, e.type_label, e.annotator_id)
-            for e in by_slot.get(idx, [])
-        ]
-        segment = apply_edits(src_seg, local)
+        out: list[str] = []
+        pos = a
+        while i < len(edits) and edits[i].start <= b:
+            e = edits[i]
+            if e.start < pos or e.end > b:
+                raise AssertionError("edit escaped its merged slot")
+            out.extend(source[pos : e.start])
+            out.extend(e.replacement)
+            pos = e.end
+            i += 1
+        out.extend(source[pos:b])
+        segment = tuple(out)
         if a == b:
             kind = CORRECTED if segment else DUMMY
         else:
-            kind = UNCHANGED if segment == src_seg else CORRECTED
-        chunks.append(Chunk(idx, a, b, segment, kind))
+            kind = UNCHANGED if segment == source[a:b] else CORRECTED
+        chunks[idx] = Chunk(idx, a, b, segment, kind)
+    if i != len(edits):
+        raise AssertionError("edit escaped its merged slot")
     return tuple(chunks)
 
 
@@ -134,43 +130,19 @@ def partition(
     n = len(source)
     hyp = check_edits(hyp_edits, n)
     refs = [(aid, check_edits(edits, n)) for aid, edits in ref_edit_sets]
-
-    pooled = list(hyp)
-    for _, edits in refs:
-        pooled.extend(edits)
-    slots = _merge_intervals(pooled)
-
-    spans: list[tuple[int, int]] = []
-    slot_flags: list[bool] = []
-    pos = 0
-    for a, b in slots:
-        if a > pos:
-            spans.append((pos, a))
-            slot_flags.append(False)
-        spans.append((a, b))
-        slot_flags.append(True)
-        pos = b
-    if pos < n or not spans:
-        spans.append((pos, n))
-        slot_flags.append(False)
-
-    hyp_chunks = _segment_sequence(source, hyp, spans, slot_flags)
+    spans, changed = slot_spans(n, [hyp] + [edits for _, edits in refs])
+    # Unchanged chunks are the same in every sequence; slots are filled in.
+    slots = set(changed)
+    template: list[Chunk | None] = [
+        None if idx in slots else Chunk(idx, a, b, source[a:b], UNCHANGED)
+        for idx, (a, b) in enumerate(spans)
+    ]
+    hyp_chunks = _segment_sequence(source, hyp, spans, changed, template)
     ref_chunks = tuple(
-        (aid, _segment_sequence(source, edits, spans, slot_flags))
+        (aid, _segment_sequence(source, edits, spans, changed, template))
         for aid, edits in refs
     )
-    changed = tuple(i for i, is_slot in enumerate(slot_flags) if is_slot)
-    return ChunkedSample(source, hyp_chunks, ref_chunks, tuple(spans), changed)
-
-
-def changed_slots(cs: ChunkedSample) -> list[ChangedSlot]:
-    """One slot per changed chunk index, with per-sequence chunks."""
-    out = []
-    for idx in cs.changed_indices:
-        a, b = cs.boundary_spans[idx]
-        refs = tuple((aid, chunks[idx]) for aid, chunks in cs.ref_chunks)
-        out.append(ChangedSlot(idx, a, b, cs.hyp_chunks[idx], refs))
-    return out
+    return ChunkedSample(source, hyp_chunks, ref_chunks, spans, changed)
 
 
 def chunk_table(cs: ChunkedSample, only_changed: bool = False) -> list[list[str]]:

@@ -12,13 +12,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
-from .chunker import (
-    CORRECTED,
-    ChangedSlot,
-    ChunkedSample,
-    changed_slots,
-    chunk_length,
-)
+from .chunker import CORRECTED, Chunk, ChunkedSample, chunk_length
 from .errors import NoChunksError
 
 FN_BOTH = "both"
@@ -42,14 +36,12 @@ class WeightConfig:
     """Scale factors and clip bounds for the length-weight curves.
 
     All curves pass through weight 1.0 at ``x == ell`` before clipping.
-    TN weights are pinned to 1 by their (1, 1) clip; ``alpha_tn`` is
-    reserved and unused.
+    TN weights have no curve and are pinned to 1 by their (1, 1) clip.
     """
 
     alpha_tp: float = 2.0
     alpha_fp: float = 2.0
     alpha_fn: float = 2.0
-    alpha_tn: float | None = None
     clip_tp: tuple[float, float] = (0.75, 1.25)
     clip_fp: tuple[float, float] = (0.75, 1.25)
     clip_fn: tuple[float, float] = (0.75, 1.25)
@@ -132,21 +124,22 @@ def raw_weight(x: float, alpha: float, ell: float, outcome: str) -> float:
     raise ValueError(f"unknown outcome {outcome!r}")
 
 
+# Outcome -> (scale factor field, clip field) of its WeightConfig curve.
+_CURVE_FIELDS = {
+    "tp": ("alpha_tp", "clip_tp"),
+    "fp": ("alpha_fp", "clip_fp"),
+    "fn": ("alpha_fn", "clip_fn"),
+}
+
+
 def length_weight(x: float, cfg: WeightConfig, outcome: str) -> float:
     """Clipped length weight of a chunk of length x for one outcome."""
-    alpha = {
-        "tp": cfg.alpha_tp,
-        "fp": cfg.alpha_fp,
-        "fn": cfg.alpha_fn,
-        "tn": 1.5,  # irrelevant: raw TN weight is constant 1
-    }[outcome]
-    bounds = {
-        "tp": cfg.clip_tp,
-        "fp": cfg.clip_fp,
-        "fn": cfg.clip_fn,
-        "tn": cfg.clip_tn,
-    }[outcome]
-    return _clip(raw_weight(x, alpha, cfg.ell, outcome), bounds)
+    if outcome == "tn":
+        return _clip(1.0, cfg.clip_tn)
+    alpha, bounds = _CURVE_FIELDS[outcome]
+    return _clip(
+        raw_weight(x, getattr(cfg, alpha), cfg.ell, outcome), getattr(cfg, bounds)
+    )
 
 
 def compute_ell(dataset: Sequence[ChunkedSample]) -> float:
@@ -231,34 +224,44 @@ class Scores:
         return cls(p, r, f_beta_formula(p, r, beta), accuracy(counts))
 
 
-def _tn_weight(cfg: WeightConfig) -> float:
-    return _clip(1.0, cfg.clip_tn)
+def _slot_outcomes(hyp: Chunk, refs: Sequence[Chunk]) -> tuple[str, int, int | None]:
+    """Classify one changed slot against the reference chunks that judge it.
+
+    A changed hypothesis chunk is a TP when it matches any of ``refs`` and
+    an FP otherwise; a kept chunk is an FN when every one of ``refs`` (there
+    is at least one) changed the slot, and a TN otherwise. Returns the
+    outcome, its chunk length (FNs take the shortest changed reference
+    chunk), and for an FP the FN length it also owes when a reference
+    changed the slot (counted only under ``fn_on_mismatch="both"``).
+    """
+    changed = [chunk_length(c) for c in refs if c.kind == CORRECTED]
+    if hyp.kind == CORRECTED:
+        if any(c.segment == hyp.segment for c in refs):
+            return "tp", chunk_length(hyp), None
+        return "fp", chunk_length(hyp), min(changed) if changed else None
+    if refs and len(changed) == len(refs):
+        return "fn", min(changed), None
+    return "tn", 0, None
 
 
-def _min_changed_length(slot: ChangedSlot) -> int:
-    return min(chunk_length(c) for _, c in slot.changed_refs())
-
-
-def _score_slot_vs_ref(
-    counts: OutcomeCounts,
-    slot: ChangedSlot,
-    ref_chunk,
+def _score_slots(
+    cs: ChunkedSample,
+    ref_sequences: Sequence[tuple[Chunk, ...]],
     cfg: WeightConfig,
     fn_on_mismatch: str,
-) -> None:
-    hyp = slot.hyp
-    ref_changed = ref_chunk.kind == CORRECTED
-    if hyp.kind == CORRECTED:
-        if hyp.segment == ref_chunk.segment:
-            counts.add("tp", length_weight(chunk_length(hyp), cfg, "tp"))
-        else:
-            counts.add("fp", length_weight(chunk_length(hyp), cfg, "fp"))
-            if ref_changed and fn_on_mismatch == FN_BOTH:
-                counts.add("fn", length_weight(chunk_length(ref_chunk), cfg, "fn"))
-    elif ref_changed:
-        counts.add("fn", length_weight(chunk_length(ref_chunk), cfg, "fn"))
-    else:
-        counts.add("tn", _tn_weight(cfg))
+) -> OutcomeCounts:
+    """Counts of every changed slot in order, then the unchanged-span TNs."""
+    counts = OutcomeCounts()
+    for idx in cs.changed_indices:
+        refs = [chunks[idx] for chunks in ref_sequences]
+        outcome, length, missed = _slot_outcomes(cs.hyp_chunks[idx], refs)
+        counts.add(outcome, length_weight(length, cfg, outcome))
+        if missed is not None and fn_on_mismatch == FN_BOTH:
+            counts.add("fn", length_weight(missed, cfg, "fn"))
+    n_unchanged = len(cs.boundary_spans) - len(cs.changed_indices)
+    counts.tn_w += n_unchanged * length_weight(0, cfg, "tn")
+    counts.tn_n += n_unchanged
+    return counts
 
 
 def score_sentence_dependent(
@@ -271,34 +274,14 @@ def score_sentence_dependent(
     counts and annotator id (None for a sample without references, which is
     scored as if against an edit-free reference).
     """
-    slots = changed_slots(cs)
-    n_unchanged = len(cs.boundary_spans) - len(slots)
-    tn_w = _tn_weight(cfg)
-
-    candidates: list[tuple[int | None, OutcomeCounts]] = []
     if not cs.ref_chunks:
-        counts = OutcomeCounts()
-        for slot in slots:
-            if slot.hyp.kind == CORRECTED:
-                counts.add("fp", length_weight(chunk_length(slot.hyp), cfg, "fp"))
-            else:
-                counts.add("tn", tn_w)
-        candidates.append((None, counts))
-    for aid, chunks in cs.ref_chunks:
-        counts = OutcomeCounts()
-        for slot in slots:
-            _score_slot_vs_ref(counts, slot, chunks[slot.index], cfg, fn_on_mismatch)
-        candidates.append((aid, counts))
-
+        return _score_slots(cs, (), cfg, fn_on_mismatch), None
     best_aid, best_counts, best_key = None, None, None
-    for aid, counts in candidates:
-        counts.tn_w += n_unchanged * tn_w
-        counts.tn_n += n_unchanged
-        f = f_beta_formula(*precision_recall(counts), cfg.beta)
-        key = (f, counts.tp_w, -(aid if aid is not None else 0))
+    for aid, chunks in cs.ref_chunks:
+        counts = _score_slots(cs, (chunks,), cfg, fn_on_mismatch)
+        key = (f_beta_formula(*precision_recall(counts), cfg.beta), counts.tp_w, -aid)
         if best_key is None or key > best_key:
             best_aid, best_counts, best_key = aid, counts, key
-    assert best_counts is not None
     return best_counts, best_aid
 
 
@@ -312,36 +295,8 @@ def score_sentence_independent(
     slot, in which case keeping the source matches no reference and counts
     as an FN.
     """
-    counts = OutcomeCounts()
-    tn_w = _tn_weight(cfg)
-    slots = changed_slots(cs)
-    for slot in slots:
-        hyp = slot.hyp
-        changed = slot.changed_refs()
-        if hyp.kind == CORRECTED:
-            if any(c.segment == hyp.segment for _, c in slot.refs):
-                counts.add("tp", length_weight(chunk_length(hyp), cfg, "tp"))
-            else:
-                counts.add("fp", length_weight(chunk_length(hyp), cfg, "fp"))
-                if changed and fn_on_mismatch == FN_BOTH:
-                    counts.add(
-                        "fn", length_weight(_min_changed_length(slot), cfg, "fn")
-                    )
-        elif slot.refs and len(changed) == len(slot.refs):
-            counts.add("fn", length_weight(_min_changed_length(slot), cfg, "fn"))
-        else:
-            counts.add("tn", tn_w)
-    n_unchanged = len(cs.boundary_spans) - len(slots)
-    counts.tn_w += n_unchanged * tn_w
-    counts.tn_n += n_unchanged
-    return counts
-
-
-def aggregate_corpus(
-    per_sentence: Sequence[OutcomeCounts], beta: float = 0.5
-) -> Scores:
-    """Sum counts over the dataset, then derive P/R/F_beta/accuracy."""
-    return Scores.from_counts(sum_counts(per_sentence), beta)
+    refs = [chunks for _, chunks in cs.ref_chunks]
+    return _score_slots(cs, refs, cfg, fn_on_mismatch)
 
 
 def aggregate_sentence(per_sentence: Sequence[Scores]) -> Scores:

@@ -170,7 +170,7 @@ class TestCorrelation:
 
 class TestCorrelate:
     def test_identity_scores(self):
-        human = HumanTable({"s1": 0.1, "s2": 0.5, "s3": 0.9}, "EW")
+        human = HumanTable({"s1": 0.1, "s2": 0.5, "s3": 0.9})
         gamma, rho = correlate({"s1": 0.1, "s2": 0.5, "s3": 0.9}, human)
         assert gamma == pytest.approx(1.0)
         assert rho == pytest.approx(1.0)

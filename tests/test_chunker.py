@@ -5,11 +5,11 @@ from conftest import random_case
 from chunkeval import (
     Edit,
     apply_edits,
-    changed_slots,
     chunk_length,
     chunk_table,
     extract_edits,
     partition,
+    slot_spans,
     tokenize,
 )
 
@@ -136,19 +136,21 @@ class TestPartition:
 
 class TestChangedSlots:
     def test_fig_sample_single_slot(self):
-        slots = changed_slots(fig_sample())
-        assert len(slots) == 1
-        assert not slots[0].hyp_changed
-        assert [aid for aid, _ in slots[0].changed_refs()] == [0, 1]
+        cs = fig_sample()
+        assert len(cs.changed_indices) == 1
+        idx = cs.changed_indices[0]
+        assert cs.hyp_chunks[idx].kind != "corrected"
+        assert [
+            aid for aid, chunks in cs.ref_chunks if chunks[idx].kind == "corrected"
+        ] == [0, 1]
 
     def test_unchanged_sample_has_none(self):
-        assert changed_slots(partition(("a",), [], [(0, [])])) == []
+        assert partition(("a",), [], [(0, [])]).changed_indices == ()
 
     def test_top_sample_slots_at_display_chunks_2_4_6(self):
         cs = top_sample()
         assert len(cs.boundary_spans) == 7
-        slots = changed_slots(cs)
-        assert [s.index for s in slots] == [1, 3, 5]
+        assert [cs.hyp_chunks[i].index for i in cs.changed_indices] == [1, 3, 5]
         header = chunk_table(cs)[0]
         assert [h for h in header[1:] if h.endswith("*")] == [
             "chunk-2 *",
@@ -215,9 +217,44 @@ class TestChunkLength:
 
     def test_dummy_and_insertion_lengths(self):
         cs = partition(("a", "b"), [], [(0, [Edit(1, 1, ("x", "y"))])])
-        slot = changed_slots(cs)[0]
-        assert chunk_length(dict(slot.refs)[0]) == 2
-        assert chunk_length(slot.hyp) == 0
+        idx = cs.changed_indices[0]
+        assert chunk_length(dict(cs.ref_chunks)[0][idx]) == 2
+        assert chunk_length(cs.hyp_chunks[idx]) == 0
+
+
+def _components(intervals):
+    """Connected components of closed intervals, by pairwise touching."""
+    groups = [[iv] for iv in intervals]
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if any(
+                    max(a, c) <= min(b, d) for a, b in groups[i] for c, d in groups[j]
+                ):
+                    groups[i] += groups.pop(j)
+                    merged = True
+                    break
+            if merged:
+                break
+    return sorted((min(a for a, _ in g), max(b for _, b in g)) for g in groups)
+
+
+class TestSlotSpans:
+    def test_slots_are_touching_components_and_spans_tile_source(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            source, hyp_edits, refs = random_case(rng, 0, 3)
+            edit_sets = [hyp_edits] + [edits for _, edits in refs]
+            spans, changed = slot_spans(len(source), edit_sets)
+            pooled = [(e.start, e.end) for edits in edit_sets for e in edits]
+            assert [spans[i] for i in changed] == _components(pooled)
+            assert spans[0][0] == 0 and spans[-1][1] == len(source)
+            assert all(b == c for (_, b), (c, _) in zip(spans, spans[1:]))
+            assert all(a < b for k, (a, b) in enumerate(spans) if k not in changed)
+            cs = partition(source, hyp_edits, refs)
+            assert (cs.boundary_spans, cs.changed_indices) == (spans, changed)
 
 
 class TestPartitionProperties:

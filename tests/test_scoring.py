@@ -12,7 +12,6 @@ from chunkeval import (
     Scores,
     WeightConfig,
     accuracy,
-    aggregate_corpus,
     aggregate_sentence,
     compute_ell,
     default_config,
@@ -272,12 +271,12 @@ class TestPrecisionRecallAccuracy:
 class TestAggregation:
     def test_single_sentence_identity(self):
         counts = OutcomeCounts(tp_w=1.0, tp_n=1, tn_w=2.0, tn_n=2)
-        assert aggregate_corpus([counts]) == Scores.from_counts(counts)
+        assert Scores.from_counts(sum_counts([counts])) == Scores.from_counts(counts)
 
     def test_sum_then_divide(self):
         a = OutcomeCounts(tp_w=1.0, tp_n=1)
         b = OutcomeCounts(fp_w=1.0, fp_n=1)
-        scores = aggregate_corpus([a, b])
+        scores = Scores.from_counts(sum_counts([a, b]))
         assert scores.precision == 0.5
         assert scores.recall == 1.0
 
@@ -292,10 +291,10 @@ class TestAggregation:
             )
             for _ in range(50)
         ]
-        base = aggregate_corpus(counts)
+        base = Scores.from_counts(sum_counts(counts))
         for _ in range(10):
             rng.shuffle(counts)
-            assert aggregate_corpus(counts) == base
+            assert Scores.from_counts(sum_counts(counts)) == base
 
     def test_sentence_mean(self):
         s1 = Scores(1.0, 1.0, 1.0, 1.0)
