@@ -6,6 +6,7 @@ stderr, data to stdout (or to the file given with -o).
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -57,6 +58,30 @@ REPORT_COLUMNS = (
 )
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _scale_factor(text: str) -> float:
+    value = _finite(text)
+    if value <= 1.0:
+        raise argparse.ArgumentTypeError(f"scale factor must be > 1, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"value must be > 0, got {text!r}")
+    return value
+
+
 def _clip_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -83,16 +108,16 @@ def _shared_flags() -> argparse.ArgumentParser:
         choices=VARIANTS,
         help="scorer variant (repeatable; default: dep)",
     )
-    shared.add_argument("--alpha-tp", type=float, help="TP scale factor override")
-    shared.add_argument("--alpha-fp", type=float, help="FP scale factor override")
-    shared.add_argument("--alpha-fn", type=float, help="FN scale factor override")
+    shared.add_argument("--alpha-tp", type=_scale_factor, help="TP scale factor override")
+    shared.add_argument("--alpha-fp", type=_scale_factor, help="FP scale factor override")
+    shared.add_argument("--alpha-fn", type=_scale_factor, help="FN scale factor override")
     shared.add_argument("--clip-tp", type=_clip_pair, metavar="MIN,MAX")
     shared.add_argument("--clip-fp", type=_clip_pair, metavar="MIN,MAX")
     shared.add_argument("--clip-fn", type=_clip_pair, metavar="MIN,MAX")
     shared.add_argument(
-        "--ell", type=float, help="average chunk length (default: computed)"
+        "--ell", type=_positive, help="average chunk length (default: computed)"
     )
-    shared.add_argument("--beta", type=float, help="F-score beta (default: 0.5)")
+    shared.add_argument("--beta", type=_positive, help="F-score beta (default: 0.5)")
     shared.add_argument(
         "--fn-on-mismatch",
         choices=FN_MODES,
@@ -192,13 +217,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 _LIST_KEYS = {"variant"}
 _BOOL_KEYS = {"drop_unchanged_refs", "only_changed", "per_pass_mean"}
-_FLOAT_KEYS = {"alpha_tp", "alpha_fp", "alpha_fn", "ell", "beta"}
-_PAIR_KEYS = {"clip_tp", "clip_fp", "clip_fn"}
+# Keys parsed by the same type functions as their flags.
+_TYPED_KEYS = {
+    "alpha_tp": _scale_factor,
+    "alpha_fp": _scale_factor,
+    "alpha_fn": _scale_factor,
+    "ell": _positive,
+    "beta": _positive,
+    "clip_tp": _clip_pair,
+    "clip_fp": _clip_pair,
+    "clip_fn": _clip_pair,
+}
 
 
 def _load_config_file(path: str) -> dict:
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -212,13 +246,11 @@ def _load_config_file(path: str) -> dict:
                 values[key] = [v.strip() for v in value.split(",") if v.strip()]
             elif key in _BOOL_KEYS:
                 values[key] = value.lower() in ("1", "true", "yes", "on")
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _PAIR_KEYS:
-                values[key] = _clip_pair(value)
+            elif key in _TYPED_KEYS:
+                values[key] = _TYPED_KEYS[key](value)
             else:
                 values[key] = value
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+        except argparse.ArgumentTypeError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
     return values
 
@@ -252,7 +284,12 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
 
 
 def _write_out(args: argparse.Namespace, text: str) -> None:

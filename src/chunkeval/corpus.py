@@ -138,7 +138,7 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
         annotations = {aid: tuple(es) for aid, es in edits.items()}
         try:
             samples.append(AnnotatedSample(source, annotations))
-        except BoundsError as exc:
+        except (BoundsError, OverlapError) as exc:
             raise ParseError(str(exc), block_line) from exc
         source, edits, noop_ids = None, {}, set()
 

@@ -50,17 +50,17 @@ class WeightConfig:
     beta: float = 0.5
 
     def __post_init__(self):
+        # Written as "not (valid)" so that NaN is rejected too.
         for name in ("alpha_tp", "alpha_fp", "alpha_fn"):
-            if getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be > 1")
+            if not 1.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 1")
         for name in ("clip_tp", "clip_fp", "clip_fn", "clip_tn"):
             lo, hi = getattr(self, name)
             if not 0 < lo <= hi:
                 raise ValueError(f"{name} must satisfy 0 < min <= max")
-        if self.ell <= 0:
-            raise ValueError("ell must be > 0")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
+        for name in ("ell", "beta"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 # Default hyperparameters per variant; corpus variants share one profile,

@@ -294,6 +294,55 @@ class TestEvaluate:
         assert "# ell: 9.0" in out
         assert "# fn_on_mismatch: both" in out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--alpha-tp", "1"),
+            ("--alpha-fn", "0.5"),
+            ("--alpha-fp", "inf"),
+            ("--alpha-tp", "nan"),
+            ("--beta", "0"),
+            ("--beta", "nan"),
+            ("--ell", "-1"),
+            ("--ell", "inf"),
+            ("--ell", "x"),
+        ],
+    )
+    def test_bad_weight_values_are_rejected_where_parsed(
+        self, data, tmp_path, capsys, flag, value
+    ):
+        argv = ["evaluate", str(data / "ref0-as-hyp.txt"), str(data / "ref.m2")]
+        with pytest.raises(SystemExit) as err:
+            main(argv + [flag, value])
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]}={value}\n", encoding="utf-8")
+        code, out, err_text = run(capsys, argv + ["--config", str(cfg)])
+        assert code == 3
+        assert out == ""
+        assert f"{cfg}:1:" in err_text
+
+    def test_non_utf8_input_is_data_error_naming_the_file(self, data, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("caf\xe9 is good\nit is good\n".encode("latin-1"))
+        code, out, err = run(capsys, ["evaluate", str(bad), str(data / "ref.m2")])
+        assert code == 3
+        assert out == ""
+        assert str(bad) in err and "UTF-8" in err
+
+    def test_overlapping_m2_edits_report_the_record_line(self, data, tmp_path, capsys):
+        ref = tmp_path / "overlap.m2"
+        ref.write_text(
+            REF_M2 + "\nS a b c\n"
+            "A 0 2|||X|||q|||REQUIRED|||-NONE-|||0\n"
+            "A 1 3|||X|||r|||REQUIRED|||-NONE-|||0\n",
+            encoding="utf-8",
+        )
+        code, _, err = run(capsys, ["stats", str(ref)])
+        assert code == 3
+        assert "line 12:" in err and "overlap" in err
+
     def test_config_file_unknown_key_is_data_error(self, data, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("elll=9.0\n", encoding="utf-8")

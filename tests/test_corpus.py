@@ -124,8 +124,21 @@ class TestParseM2:
             "A 0 2|||X|||q|||REQUIRED|||-NONE-|||0\n"
             "A 1 3|||X|||r|||REQUIRED|||-NONE-|||0\n"
         )
-        with pytest.raises(OverlapError):
+        with pytest.raises(ParseError) as err:
             parse_m2(text)
+        assert isinstance(err.value.__cause__, OverlapError)
+
+    def test_overlap_has_record_line_number(self):
+        text = (
+            "S a\nA 0 1|||X|||q|||REQUIRED|||-NONE-|||0\n\n"
+            "S a b\n"
+            "A 1 1|||X|||q|||REQUIRED|||-NONE-|||0\n"
+            "A 1 1|||X|||r|||REQUIRED|||-NONE-|||0\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_m2(text)
+        assert err.value.line == 4
+        assert "two insertions" in str(err.value)
 
     def test_out_of_bounds_has_line_number(self):
         with pytest.raises(ParseError) as err:
