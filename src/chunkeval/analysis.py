@@ -10,7 +10,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .chunker import UNCHANGED, chunk_length, partition, slot_spans
+from .chunker import CORRECTED, UNCHANGED, chunk_length, partition, slot_spans
 from .corpus import AnnotatedSample, apply_edits
 from .errors import (
     DegenerateError,
@@ -114,11 +114,12 @@ def corpus_stats(samples: Sequence[AnnotatedSample]) -> dict:
             (),
             [(aid, sample.annotations[aid]) for aid in sample.annotator_ids],
         )
+        # Dummy chunks (an insertion slot a reference did not use) count as neither.
         for _, chunks in cs.ref_chunks:
             for chunk in chunks:
                 if chunk.kind == UNCHANGED:
                     unchanged_len.append(chunk_length(chunk))
-                else:
+                elif chunk.kind == CORRECTED:
                     changed_len.append(chunk_length(chunk))
 
     def _mean(xs):

@@ -13,10 +13,12 @@ from chunkeval import (
     SystemMismatchError,
     TooFewAnnotatorsError,
     boundary_stats,
+    compute_ell,
     correlate,
     corpus_stats,
     load_human_table,
     load_metric_scores,
+    partition,
     pearson,
     spearman,
 )
@@ -121,6 +123,34 @@ class TestCorpusStats:
         # annotator 0: changed chunk 'x' + unchanged 'b c'; annotator 1 keeps both
         assert table["changed_chunks"] == 1
         assert table["unchanged_chunks"] == 3
+
+    def test_dummy_chunks_are_not_counted(self):
+        # annotator 1 did not use the insertion slot: its chunk there is a dummy
+        sample = sample_of("a b", [Edit(1, 1, ("x", "y"))], [])
+        table = corpus_stats([sample])
+        assert table["changed_chunks"] == 1
+        assert table["unchanged_chunks"] == 4
+        assert table["changed_chunk_share"] == 1 / 5
+        assert table["avg_changed_chunk_length"] == 2.0
+
+    def test_avg_changed_chunk_length_is_ell_without_hypothesis(self):
+        rng = random.Random(59)
+        samples = []
+        for _ in range(300):
+            source = random_tokens(rng, 1, 8)
+            refs = random_ref_sets(rng, len(source), 1, 4)
+            samples.append(
+                AnnotatedSample(source, {aid: tuple(edits) for aid, edits in refs})
+            )
+        chunked = [
+            partition(s.source, (), [(aid, s.annotations[aid]) for aid in s.annotator_ids])
+            for s in samples
+        ]
+        n_dummies = sum(
+            c.kind == "dummy" for cs in chunked for _, cks in cs.ref_chunks for c in cks
+        )
+        assert n_dummies > 0
+        assert corpus_stats(samples)["avg_changed_chunk_length"] == compute_ell(chunked)
 
 
 class TestCorrelation:
