@@ -30,7 +30,6 @@ from .chunker import (
     chunk_length,
     chunk_table,
     partition,
-    slot_spans,
 )
 from .corpus import (
     AnnotatedSample,
@@ -129,7 +128,6 @@ __all__ = [
     "run_variant",
     "score_sentence_dependent",
     "score_sentence_independent",
-    "slot_spans",
     "spearman",
     "sum_counts",
     "tokenize",

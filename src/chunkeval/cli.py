@@ -58,28 +58,25 @@ REPORT_COLUMNS = (
 )
 
 
-def _finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _finite_above(low: float):
+    """Argparse type for a finite number greater than ``low``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not low < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number > {low:g}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
-def _scale_factor(text: str) -> float:
-    value = _finite(text)
-    if value <= 1.0:
-        raise argparse.ArgumentTypeError(f"scale factor must be > 1, got {text!r}")
-    return value
-
-
-def _positive(text: str) -> float:
-    value = _finite(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"value must be > 0, got {text!r}")
-    return value
+_scale_factor = _finite_above(1.0)
+_positive = _finite_above(0.0)
 
 
 def _clip_pair(text: str) -> tuple[float, float]:

@@ -9,9 +9,9 @@ from chunkeval import (
     chunk_table,
     extract_edits,
     partition,
-    slot_spans,
     tokenize,
 )
+from chunkeval.chunker import slot_spans
 
 FIG_SRC = ("the", "technologies", "were")
 FIG_REF1 = [Edit(0, 1, ()), Edit(2, 3, ("have",))]
