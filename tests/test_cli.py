@@ -331,18 +331,6 @@ class TestEvaluate:
         assert out == ""
         assert str(bad) in err and "UTF-8" in err
 
-    def test_overlapping_m2_edits_report_the_record_line(self, data, tmp_path, capsys):
-        ref = tmp_path / "overlap.m2"
-        ref.write_text(
-            REF_M2 + "\nS a b c\n"
-            "A 0 2|||X|||q|||REQUIRED|||-NONE-|||0\n"
-            "A 1 3|||X|||r|||REQUIRED|||-NONE-|||0\n",
-            encoding="utf-8",
-        )
-        code, _, err = run(capsys, ["stats", str(ref)])
-        assert code == 3
-        assert "line 12:" in err and "overlap" in err
-
     def test_config_file_unknown_key_is_data_error(self, data, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("elll=9.0\n", encoding="utf-8")

@@ -126,6 +126,7 @@ class TestParseM2:
         )
         with pytest.raises(ParseError) as err:
             parse_m2(text)
+        assert err.value.line == 1
         assert isinstance(err.value.__cause__, OverlapError)
 
     def test_overlap_has_record_line_number(self):
