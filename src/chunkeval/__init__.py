@@ -12,7 +12,7 @@ judgments.
 
 __version__ = "0.1.0"
 
-from .align import AlignOp, align, extract_edits, ops_to_edits
+from .align import extract_edits
 from .analysis import (
     BoundaryStats,
     HumanTable,
@@ -77,7 +77,6 @@ from .scoring import (
 
 __all__ = [
     "__version__",
-    "AlignOp",
     "AnnotatedSample",
     "BoundaryStats",
     "BoundsError",
@@ -102,7 +101,6 @@ __all__ = [
     "WeightConfig",
     "accuracy",
     "aggregate_sentence",
-    "align",
     "apply_edits",
     "boundary_stats",
     "chunk_length",
@@ -119,7 +117,6 @@ __all__ = [
     "load_human_table",
     "load_metric_scores",
     "load_parallel",
-    "ops_to_edits",
     "parse_m2",
     "partition",
     "pearson",

@@ -6,95 +6,108 @@ fixed backtrace preference, so identical inputs always yield identical edits.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .corpus import Edit
-
-MATCH = "match"
-SUBSTITUTE = "substitute"
-DELETE = "delete"
-INSERT = "insert"
-
-
-@dataclass(frozen=True)
-class AlignOp:
-    """One alignment step; spans are half-open over source/target tokens."""
-
-    kind: str
-    src_start: int
-    src_end: int
-    tgt_start: int
-    tgt_end: int
-    src_token: str | None = None
-    tgt_token: str | None = None
-
-
-def align(source: Sequence[str], target: Sequence[str]) -> list[AlignOp]:
-    """Deterministic minimal-cost alignment of two token sequences.
-
-    Ties are broken per cell in the order match > substitute > delete >
-    insert during the backtrace, which makes the result unique.
-    """
-    n, m = len(source), len(target)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-    for j in range(1, m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        row, prev = dist[i], dist[i - 1]
-        src_tok = source[i - 1]
-        for j in range(1, m + 1):
-            diag = prev[j - 1] + (0 if src_tok == target[j - 1] else 1)
-            row[j] = min(diag, prev[j] + 1, row[j - 1] + 1)
-
-    ops: list[AlignOp] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and source[i - 1] == target[j - 1] and dist[i][j] == dist[i - 1][j - 1]:
-            ops.append(AlignOp(MATCH, i - 1, i, j - 1, j, source[i - 1], target[j - 1]))
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + 1 and source[i - 1] != target[j - 1]:
-            ops.append(AlignOp(SUBSTITUTE, i - 1, i, j - 1, j, source[i - 1], target[j - 1]))
-            i, j = i - 1, j - 1
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
-            ops.append(AlignOp(DELETE, i - 1, i, j, j, source[i - 1], None))
-            i = i - 1
-        else:
-            ops.append(AlignOp(INSERT, i, i, j - 1, j, None, target[j - 1]))
-            j = j - 1
-    ops.reverse()
-    return ops
-
-
-def ops_to_edits(ops: Sequence[AlignOp], annotator_id: int = 0) -> list[Edit]:
-    """Merge maximal runs of non-match ops into single edits.
-
-    Matches are discarded; each run becomes one edit whose span covers the
-    run's source tokens and whose replacement is the run's target tokens.
-    """
-    edits: list[Edit] = []
-    i = 0
-    while i < len(ops):
-        if ops[i].kind == MATCH:
-            i += 1
-            continue
-        j = i
-        while j < len(ops) and ops[j].kind != MATCH:
-            j += 1
-        run = ops[i:j]
-        replacement = tuple(
-            op.tgt_token for op in run if op.tgt_token is not None
-        )
-        edits.append(
-            Edit(run[0].src_start, run[-1].src_end, replacement, None, annotator_id)
-        )
-        i = j
-    return edits
 
 
 def extract_edits(
     source: Sequence[str], target: Sequence[str], annotator_id: int = 0
 ) -> list[Edit]:
-    """Alignment-based edit extraction for a single sentence pair."""
-    return ops_to_edits(align(source, target), annotator_id)
+    """Edits of the minimal-cost alignment of ``source`` to ``target``.
+
+    The backtrace prefers match > substitute > delete > insert at every
+    cell, which makes the path unique; each maximal run of non-match steps
+    becomes one edit covering the run's source span, replaced by the run's
+    target tokens.
+
+    Only the band |i - j| <= k of the distance table D is filled, doubling
+    k until D(n, m) <= k (Ukkonen 1985). That is exact: a cell off the band
+    costs more than k to reach, so every cell the backtrace visits or
+    compares equal has its true value, and every other cell reads above k.
+    Equal last tokens always backtrace as a match, so the common suffix is
+    cut first. The common prefix, of length p, is not cut, because repeated
+    tokens can move an edit into it; but D(i, j) = |i - j| whenever i <= p,
+    as s[:i] is then a prefix of t[:j] or the other way round, so rows 0..p
+    are written down rather than filled.
+    """
+    s, t = tuple(source), tuple(target)
+    if s == t:
+        return []
+    n, m = len(s), len(t)
+    while n and m and s[n - 1] == t[m - 1]:
+        n, m = n - 1, m - 1
+    p, short = 0, min(n, m)
+    while p < short and s[p] == t[p]:
+        p += 1
+
+    k = max(abs(n - m), 1)
+    while True:
+        rows = _band(s, t, n, m, p, k)
+        if rows[-1][m - n + k + 1] <= k:
+            break
+        k *= 2
+
+    def dist(i: int, j: int) -> int:
+        # row r keeps D(p + r, j) at index j - (p + r) + k + 1
+        return abs(i - j) if i < p else rows[i - p][j - i + k + 1]
+
+    edits: list[Edit] = []
+    i, j = n, m
+    run = None  # (i, j) where the run of non-match steps being walked ends
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and s[i - 1] == t[j - 1]:
+            if run:
+                edits.append(Edit(i, run[0], t[j : run[1]], None, annotator_id))
+                run = None
+            if i == j <= p:
+                break  # the rest of the path matches the shared prefix
+            i, j = i - 1, j - 1
+            continue
+        if not run:
+            run = (i, j)
+        d = dist(i, j)
+        if i > 0 and j > 0 and d == dist(i - 1, j - 1) + 1:
+            i, j = i - 1, j - 1
+        elif i > 0 and d == dist(i - 1, j) + 1:
+            i -= 1
+        else:
+            j -= 1
+    if run:
+        edits.append(Edit(0, run[0], t[: run[1]], None, annotator_id))
+    edits.reverse()
+    return edits
+
+
+def _band(
+    s: tuple[str, ...], t: tuple[str, ...], n: int, m: int, p: int, k: int
+) -> list[list[int]]:
+    """Rows p..n of D over s[:n], t[:m], on the band |i - j| <= k.
+
+    s and t share their first p tokens, so D(p, j) = |p - j|.
+    Cells off the band, or off the table, read k + 1. Equal tokens take the
+    diagonal value outright, as the backtrace always matches them.
+    """
+    far = k + 1
+    first = [far] * (2 * k + 3)
+    for j in range(max(0, p - k), min(m, p + k) + 1):
+        first[j - p + k + 1] = abs(p - j)
+    rows = [first]
+    prev = first
+    for i in range(p + 1, n + 1):
+        tok = s[i - 1]
+        cur = [far] * (2 * k + 3)
+        left = far
+        for j in range(max(0, i - k), min(m, i + k) + 1):
+            x = j - i + k + 1
+            diag = prev[x]
+            if j == 0 or tok != t[j - 1]:
+                up = prev[x + 1]
+                if up < diag:
+                    diag = up
+                if left < diag:
+                    diag = left
+                diag += 1
+            cur[x] = left = diag
+        rows.append(cur)
+        prev = cur
+    return rows

@@ -212,22 +212,38 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 # --- config file -----------------------------------------------------------
 
-_LIST_KEYS = {"variant"}
-_BOOL_KEYS = {"drop_unchanged_refs", "only_changed", "per_pass_mean"}
-# Keys parsed by the same type functions as their flags.
-_TYPED_KEYS = {
-    "alpha_tp": _scale_factor,
-    "alpha_fp": _scale_factor,
-    "alpha_fn": _scale_factor,
-    "ell": _positive,
-    "beta": _positive,
-    "clip_tp": _clip_pair,
-    "clip_fp": _clip_pair,
-    "clip_fn": _clip_pair,
-}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
-def _load_config_file(path: str) -> dict:
+def _config_value(action: argparse.Action, value: str):
+    """Parse a config value as its flag would be: type, choices, on/off."""
+    if action.nargs == 0:  # a store_true flag
+        word = value.lower()
+        if word not in _TRUE + _FALSE:
+            raise argparse.ArgumentTypeError(
+                f"{action.dest}: expected one of "
+                f"{'/'.join(_TRUE + _FALSE)}, got {value!r}"
+            )
+        return word in _TRUE
+    many = isinstance(action, argparse._AppendAction)
+    items = [v.strip() for v in value.split(",") if v.strip()] if many else [value]
+    parsed = [action.type(v) if action.type else v for v in items]
+    for v in parsed:
+        if action.choices is not None and v not in action.choices:
+            raise argparse.ArgumentTypeError(
+                f"{action.dest}: invalid choice {v!r} "
+                f"(choose from {', '.join(map(repr, action.choices))})"
+            )
+    return parsed if many else parsed[0]
+
+
+def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
+    """Values of the ``key=value`` lines, each checked by the flag it mirrors."""
+    actions = {
+        a.dest: a
+        for a in parser._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
     values: dict = {}
     for lineno, raw in enumerate(_read(path).splitlines(), 1):
         line = raw.strip()
@@ -237,16 +253,10 @@ def _load_config_file(path: str) -> dict:
             raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        value = value.strip()
+        if key not in actions:
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            if key in _LIST_KEYS:
-                values[key] = [v.strip() for v in value.split(",") if v.strip()]
-            elif key in _BOOL_KEYS:
-                values[key] = value.lower() in ("1", "true", "yes", "on")
-            elif key in _TYPED_KEYS:
-                values[key] = _TYPED_KEYS[key](value)
-            else:
-                values[key] = value
+            values[key] = _config_value(actions[key], value.strip())
         except argparse.ArgumentTypeError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
     return values
@@ -260,15 +270,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     # so defaults set on the top-level parser would be shadowed.
     probe, _ = parser.parse_known_args(argv)
     if getattr(probe, "config", None):
-        config = _load_config_file(probe.config)
-        unknown = set(config) - set(vars(probe))
-        if unknown:
-            raise DataError(f"unknown config keys: {sorted(unknown)}")
+        config = _load_config_file(probe.config, commands[probe.command])
+        # an appending flag would add to a default list, not replace it
         variants = config.pop("variant", None)
-        if variants:
-            for v in variants:
-                if v not in VARIANTS:
-                    raise DataError(f"unknown variant {v!r} in config file")
         commands[probe.command].set_defaults(**config)
         args = parser.parse_args(argv)
         if args.variant is None and variants:

@@ -1,8 +1,10 @@
 import random
 
-from conftest import random_tokens
+import pytest
+from align_oracle import AlignOp, align, ops_to_edits
+from conftest import VOCAB, random_tokens
 
-from chunkeval import AlignOp, align, apply_edits, extract_edits, ops_to_edits
+from chunkeval import Edit, apply_edits, extract_edits
 
 
 def op_kinds(ops):
@@ -121,3 +123,66 @@ def test_extract_apply_round_trip():
         src = random_tokens(rng, 1, 8)
         tgt = random_tokens(rng, 0, 8)
         assert apply_edits(src, extract_edits(src, tgt)) == tgt
+
+
+def full_dp_edits(source, target, annotator_id=0):
+    return ops_to_edits(align(source, target), annotator_id)
+
+
+class TestMatchesFullDP:
+    """``extract_edits`` fills only a band of the table; the full DP is the oracle."""
+
+    def test_random_pairs(self):
+        rng = random.Random(17)
+        for _ in range(3000):
+            # a vocabulary of 1 to 8 tokens; the small ones repeat heavily
+            vocab = VOCAB[: rng.randint(1, len(VOCAB))]
+            src = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 9)))
+            if rng.random() < 0.5:
+                tgt = list(src)
+                for _ in range(rng.randint(1, 3)):
+                    pos = rng.randint(0, len(tgt))
+                    tgt[pos : pos + rng.randint(0, 2)] = rng.choices(
+                        vocab, k=rng.randint(0, 2)
+                    )
+                tgt = tuple(tgt)
+            else:
+                tgt = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 9)))
+            assert extract_edits(src, tgt, 4) == full_dp_edits(src, tgt, 4), (src, tgt)
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            ((), ()),
+            ((), ("a", "b")),
+            (("a", "b", "c"), ()),
+            (("a", "b"), ("a", "x", "y", "b")),
+            (("a", "x", "y", "b"), ("a", "b")),
+            (("a",) * 5, ("a",) * 3),
+            (("a",) * 2, ("a",) * 6),
+            (("a", "b") * 5 + ("c",), ("a", "b") * 6 + ("d",)),
+        ],
+    )
+    def test_edge_cases(self, source, target):
+        assert extract_edits(source, target) == full_dp_edits(source, target)
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            (("a",) * 8, ("b",) * 8),
+            (("a", "b", "c", "d", "w", "x"), ("x", "w", "d", "c", "b", "a", "y")),
+            (("a", "b", "a", "b", "a", "b"), ("b", "b", "a", "a", "b", "a")),
+            (("a", "b", "c", "a", "b", "c", "a"), ("c", "b", "a", "c", "b", "a")),
+        ],
+    )
+    def test_band_doubles_at_least_twice(self, source, target):
+        # the band starts at k = max(|n - m|, 1) and doubles while the
+        # distance exceeds k: a distance above 2k takes two doublings
+        distance = sum(op.kind != "match" for op in align(source, target))
+        assert distance > 2 * max(abs(len(source) - len(target)), 1)
+        assert extract_edits(source, target) == full_dp_edits(source, target)
+
+    def test_repeated_token_insertion_stays_at_zero(self):
+        # trimming the shared prefix "a" would move this insertion to 1
+        assert extract_edits(("a", "b"), ("a", "a", "b")) == [Edit(0, 0, ("a",))]
+        assert full_dp_edits(("a", "b"), ("a", "a", "b")) == [Edit(0, 0, ("a",))]

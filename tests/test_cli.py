@@ -323,6 +323,29 @@ class TestEvaluate:
         assert out == ""
         assert f"{cfg}:1:" in err_text
 
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("fn-on-mismatch=bogus", "bogus"),
+            ("format=xml", "xml"),
+            ("variant=dep,bogus", "bogus"),
+            ("per-pass-mean=maybe", "maybe"),
+            ("drop-unchanged-refs=2", "'2'"),
+            ("hyp=other.txt", "hyp"),
+            ("config=other.cfg", "config"),
+        ],
+    )
+    def test_bad_config_values_are_data_errors_with_line(
+        self, data, tmp_path, capsys, line, named
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"per-pass-mean=off\n{line}\n", encoding="utf-8")
+        argv = ["evaluate", str(data / "ref0-as-hyp.txt"), str(data / "ref.m2")]
+        code, out, err = run(capsys, argv + ["--config", str(cfg)])
+        assert code == 3
+        assert out == ""
+        assert f"{cfg}:2:" in err and named in err
+
     def test_non_utf8_input_is_data_error_naming_the_file(self, data, tmp_path, capsys):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes("caf\xe9 is good\nit is good\n".encode("latin-1"))
