@@ -8,6 +8,7 @@ plus the unchanged stretches between them.
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .corpus import Edit, TokenSeq, check_edits
 
@@ -16,7 +17,7 @@ CORRECTED = "corrected"
 DUMMY = "dummy"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chunk:
     """One chunk of one sequence.
 
@@ -55,6 +56,28 @@ class ChunkedSample:
             kind = DUMMY if a == b else UNCHANGED
             chunks.append(Chunk(idx, a, b, seg, kind))
         return tuple(chunks)
+
+    @cached_property
+    def slot_records(self) -> tuple[tuple[int, ...], ...]:
+        """One record of small ints per changed slot, built on first use.
+
+        A record starts with the hypothesis chunk's length if it is
+        ``corrected`` (else 0), followed by one int per reference in
+        ``ref_chunks`` order: twice its chunk's length if that chunk is
+        ``corrected`` (else 0), plus 1 if its segment equals the hypothesis
+        segment. Corrected chunks are at least one token long, so a
+        reference changed the slot exactly when its int is above 1.
+        """
+        records = []
+        for idx in self.changed_indices:
+            hyp = self.hyp_chunks[idx]
+            record = [chunk_length(hyp) if hyp.kind == CORRECTED else 0]
+            for _, chunks in self.ref_chunks:
+                ref = chunks[idx]
+                changed = 2 * chunk_length(ref) if ref.kind == CORRECTED else 0
+                record.append(changed + (ref.segment == hyp.segment))
+            records.append(tuple(record))
+        return tuple(records)
 
 
 def slot_spans(

@@ -79,6 +79,16 @@ _scale_factor = _finite_above(1.0)
 _positive = _finite_above(0.0)
 
 
+def _beta(text: str) -> float:
+    """Argparse type for beta: positive, with a finite square (else F is NaN)."""
+    value = _positive(text)
+    if not value * value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a number whose square is finite, got {text!r}"
+        )
+    return value
+
+
 def _clip_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -87,8 +97,10 @@ def _clip_pair(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    if not 0 < lo <= hi:
-        raise argparse.ArgumentTypeError("clip bounds must satisfy 0 < min <= max")
+    if not 0 < lo <= hi < math.inf:
+        raise argparse.ArgumentTypeError(
+            "clip bounds must be finite and satisfy 0 < min <= max"
+        )
     return lo, hi
 
 
@@ -114,7 +126,7 @@ def _shared_flags() -> argparse.ArgumentParser:
     shared.add_argument(
         "--ell", type=_positive, help="average chunk length (default: computed)"
     )
-    shared.add_argument("--beta", type=_positive, help="F-score beta (default: 0.5)")
+    shared.add_argument("--beta", type=_beta, help="F-score beta (default: 0.5)")
     shared.add_argument(
         "--fn-on-mismatch",
         choices=FN_MODES,

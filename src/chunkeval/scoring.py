@@ -12,7 +12,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
-from .chunker import CORRECTED, Chunk, ChunkedSample, chunk_length
+from .chunker import ChunkedSample
 from .errors import NoChunksError
 
 FN_BOTH = "both"
@@ -56,11 +56,14 @@ class WeightConfig:
                 raise ValueError(f"{name} must be finite and > 1")
         for name in ("clip_tp", "clip_fp", "clip_fn", "clip_tn"):
             lo, hi = getattr(self, name)
-            if not 0 < lo <= hi:
-                raise ValueError(f"{name} must satisfy 0 < min <= max")
+            if not 0 < lo <= hi < math.inf:
+                raise ValueError(f"{name} must satisfy 0 < min <= max < inf")
         for name in ("ell", "beta"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
+        # f_beta_formula would divide inf by inf and report NaN
+        if not self.beta * self.beta < math.inf:
+            raise ValueError("beta squared must be finite")
 
 
 # Default hyperparameters per variant; corpus variants share one profile,
@@ -145,11 +148,11 @@ def length_weight(x: float, cfg: WeightConfig, outcome: str) -> float:
 def compute_ell(dataset: Sequence[ChunkedSample]) -> float:
     """Average chunk length over all reference chunks that change the source."""
     lengths = [
-        chunk_length(chunks[idx])
+        ref >> 1
         for cs in dataset
-        for _, chunks in cs.ref_chunks
-        for idx in cs.changed_indices
-        if chunks[idx].kind == CORRECTED
+        for record in cs.slot_records
+        for ref in record[1:]
+        if ref > 1
     ]
     if not lengths:
         raise NoChunksError("no reference changed any chunk; ell is undefined")
@@ -168,10 +171,6 @@ class OutcomeCounts:
     fp_n: int = 0
     fn_n: int = 0
     tn_n: int = 0
-
-    def add(self, outcome: str, weight: float) -> None:
-        setattr(self, outcome + "_w", getattr(self, outcome + "_w") + weight)
-        setattr(self, outcome + "_n", getattr(self, outcome + "_n") + 1)
 
 
 def sum_counts(per_sentence: Sequence[OutcomeCounts]) -> OutcomeCounts:
@@ -224,44 +223,103 @@ class Scores:
         return cls(p, r, f_beta_formula(p, r, beta), accuracy(counts))
 
 
-def _slot_outcomes(hyp: Chunk, refs: Sequence[Chunk]) -> tuple[str, int, int | None]:
-    """Classify one changed slot against the reference chunks that judge it.
+class _WeightTable(dict):
+    """Chunk length -> clipped weight of one outcome, computed on first use."""
 
-    A changed hypothesis chunk is a TP when it matches any of ``refs`` and
-    an FP otherwise; a kept chunk is an FN when every one of ``refs`` (there
-    is at least one) changed the slot, and a TN otherwise. Returns the
-    outcome, its chunk length (FNs take the shortest changed reference
-    chunk), and for an FP the FN length it also owes when a reference
-    changed the slot (counted only under ``fn_on_mismatch="both"``).
+    def __init__(self, cfg: WeightConfig, outcome: str):
+        super().__init__()
+        self.cfg, self.outcome = cfg, outcome
+
+    def __missing__(self, length: int) -> float:
+        weight = self[length] = length_weight(length, self.cfg, self.outcome)
+        return weight
+
+
+def _merged_ref(record: tuple[int, ...]) -> int:
+    """The reference int that judges a slot as all references at once do.
+
+    A changed hypothesis chunk that matches any reference gets a match (1);
+    otherwise the shortest changed reference chunk (an even int), which an
+    FP owes as an FN under ``fn_on_mismatch="both"``, or 0 when no reference
+    changed the slot. For a kept hypothesis chunk the smallest int is above
+    1, an FN of the shortest length, only when every reference (there is at
+    least one) changed the slot.
     """
-    changed = [chunk_length(c) for c in refs if c.kind == CORRECTED]
-    if hyp.kind == CORRECTED:
-        if any(c.segment == hyp.segment for c in refs):
-            return "tp", chunk_length(hyp), None
-        return "fp", chunk_length(hyp), min(changed) if changed else None
-    if refs and len(changed) == len(refs):
-        return "fn", min(changed), None
-    return "tn", 0, None
+    hyp, refs = record[0], record[1:]
+    if not hyp:
+        return min(refs, default=0)
+    if any(ref & 1 for ref in refs):
+        return 1
+    return min((ref for ref in refs if ref), default=0)
 
 
-def _score_slots(
-    cs: ChunkedSample,
-    ref_sequences: Sequence[tuple[Chunk, ...]],
-    cfg: WeightConfig,
-    fn_on_mismatch: str,
-) -> OutcomeCounts:
-    """Counts of every changed slot in order, then the unchanged-span TNs."""
-    counts = OutcomeCounts()
-    for idx in cs.changed_indices:
-        refs = [chunks[idx] for chunks in ref_sequences]
-        outcome, length, missed = _slot_outcomes(cs.hyp_chunks[idx], refs)
-        counts.add(outcome, length_weight(length, cfg, outcome))
-        if missed is not None and fn_on_mismatch == FN_BOTH:
-            counts.add("fn", length_weight(missed, cfg, "fn"))
-    n_unchanged = len(cs.boundary_spans) - len(cs.changed_indices)
-    counts.tn_w += n_unchanged * length_weight(0, cfg, "tn")
-    counts.tn_n += n_unchanged
-    return counts
+class _SlotScorer:
+    """Weights and sums ``ChunkedSample.slot_records`` under one config.
+
+    Each slot is judged by one reference int: ``ref & 1`` means the
+    reference chunk matches the hypothesis chunk, and ``ref >> 1`` is its
+    length when it changed the slot. Outcomes are summed in slot order, a
+    slot's FP before the FN it owes, and the unchanged chunks' TNs last.
+    """
+
+    def __init__(self, cfg: WeightConfig, fn_on_mismatch: str):
+        self.beta = cfg.beta
+        self.both = fn_on_mismatch == FN_BOTH
+        self.tp, self.fp, self.fn = (_WeightTable(cfg, o) for o in ("tp", "fp", "fn"))
+        self.tn = length_weight(0, cfg, "tn")
+
+    def _sum(
+        self, cs: ChunkedSample, hyps: Sequence[int], refs: Sequence[int]
+    ) -> OutcomeCounts:
+        tp, fp, fn, tn, both = self.tp, self.fp, self.fn, self.tn, self.both
+        tp_w = fp_w = fn_w = tn_w = 0.0
+        tp_n = fp_n = fn_n = tn_n = 0
+        for hyp, ref in zip(hyps, refs):
+            if hyp:
+                if ref & 1:
+                    tp_w += tp[hyp]
+                    tp_n += 1
+                    continue
+                fp_w += fp[hyp]
+                fp_n += 1
+                if not both:
+                    continue
+            if ref > 1:
+                fn_w += fn[ref >> 1]
+                fn_n += 1
+            elif not hyp:
+                tn_w += tn
+                tn_n += 1
+        n_unchanged = len(cs.boundary_spans) - len(cs.changed_indices)
+        return OutcomeCounts(
+            tp_w=tp_w,
+            fp_w=fp_w,
+            fn_w=fn_w,
+            tn_w=tn_w + n_unchanged * tn,
+            tp_n=tp_n,
+            fp_n=fp_n,
+            fn_n=fn_n,
+            tn_n=tn_n + n_unchanged,
+        )
+
+    def dependent(self, cs: ChunkedSample) -> tuple[OutcomeCounts, int | None]:
+        if not cs.ref_chunks:
+            return self.independent(cs), None
+        # one column per sequence: the hypothesis, then each reference
+        columns = list(zip(*cs.slot_records)) or [()] * (1 + len(cs.ref_chunks))
+        best_aid, best_counts, best_key = None, None, None
+        for (aid, _), refs in zip(cs.ref_chunks, columns[1:]):
+            counts = self._sum(cs, columns[0], refs)
+            key = (f_beta_formula(*precision_recall(counts), self.beta), counts.tp_w, -aid)
+            if best_key is None or key > best_key:
+                best_aid, best_counts, best_key = aid, counts, key
+        return best_counts, best_aid
+
+    def independent(self, cs: ChunkedSample) -> OutcomeCounts:
+        records = cs.slot_records
+        return self._sum(
+            cs, [record[0] for record in records], [_merged_ref(r) for r in records]
+        )
 
 
 def score_sentence_dependent(
@@ -274,15 +332,7 @@ def score_sentence_dependent(
     counts and annotator id (None for a sample without references, which is
     scored as if against an edit-free reference).
     """
-    if not cs.ref_chunks:
-        return _score_slots(cs, (), cfg, fn_on_mismatch), None
-    best_aid, best_counts, best_key = None, None, None
-    for aid, chunks in cs.ref_chunks:
-        counts = _score_slots(cs, (chunks,), cfg, fn_on_mismatch)
-        key = (f_beta_formula(*precision_recall(counts), cfg.beta), counts.tp_w, -aid)
-        if best_key is None or key > best_key:
-            best_aid, best_counts, best_key = aid, counts, key
-    return best_counts, best_aid
+    return _SlotScorer(cfg, fn_on_mismatch).dependent(cs)
 
 
 def score_sentence_independent(
@@ -295,8 +345,7 @@ def score_sentence_independent(
     slot, in which case keeping the source matches no reference and counts
     as an FN.
     """
-    refs = [chunks for _, chunks in cs.ref_chunks]
-    return _score_slots(cs, refs, cfg, fn_on_mismatch)
+    return _SlotScorer(cfg, fn_on_mismatch).independent(cs)
 
 
 def aggregate_sentence(per_sentence: Sequence[Scores]) -> Scores:
@@ -347,14 +396,15 @@ def run_variant(
 ) -> VariantResult:
     """Score a dataset under one variant with a fully resolved config."""
     assumption, level, _ = parse_variant(variant)
+    scorer = _SlotScorer(cfg, fn_on_mismatch)
     per_sentence: list[OutcomeCounts] = []
     chosen: list[int | None] = []
     for cs in chunked:
         if assumption == "dep":
-            counts, aid = score_sentence_dependent(cs, cfg, fn_on_mismatch)
+            counts, aid = scorer.dependent(cs)
             chosen.append(aid)
         else:
-            counts = score_sentence_independent(cs, cfg, fn_on_mismatch)
+            counts = scorer.independent(cs)
         per_sentence.append(counts)
     totals = sum_counts(per_sentence)
     if level == "corpus":

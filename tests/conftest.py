@@ -44,7 +44,7 @@ def random_ref_sets(
     rng: random.Random, n_tokens: int, min_refs: int = 1, max_refs: int = 3
 ) -> list[tuple[int, list[Edit]]]:
     n_refs = rng.randint(min_refs, max_refs)
-    ids = sorted(rng.sample(range(8), n_refs))
+    ids = sorted(rng.sample(range(max(8, max_refs)), n_refs))
     return [(aid, random_edit_set(rng, n_tokens)) for aid in ids]
 
 

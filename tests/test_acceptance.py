@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 from conftest import random_case, random_ref_sets, random_tokens
+from scoring_oracle import add
 
 from chunkeval import (
     AnnotatedSample,
@@ -344,14 +345,15 @@ def test_criterion_6_independent_slot_oracle():
                         for outcome, length in oracle_slot_outcomes(
                             hyp_status, ref_statuses, mode
                         ):
-                            expected.add(
+                            add(
+                                expected,
                                 outcome,
                                 1.0
                                 if length is None
                                 else length_weight(length, CFG, outcome),
                             )
-                        expected.add("tn", 1.0)  # unchanged chunk before slot
-                        expected.add("tn", 1.0)  # unchanged chunk after slot
+                        add(expected, "tn", 1.0)  # unchanged chunk before slot
+                        add(expected, "tn", 1.0)  # unchanged chunk after slot
                         assert (
                             counts.tp_n,
                             counts.fp_n,

@@ -306,6 +306,9 @@ class TestEvaluate:
             ("--ell", "-1"),
             ("--ell", "inf"),
             ("--ell", "x"),
+            ("--clip-tp", "inf,inf"),
+            ("--clip-fn", "0.5,inf"),
+            ("--beta", "1e200"),
         ],
     )
     def test_bad_weight_values_are_rejected_where_parsed(
@@ -635,13 +638,21 @@ def test_unsupported_format_is_usage_error(data, capsys):
 
 
 def test_module_entry_point(data):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import chunkeval
+
+    # the child imports the same chunkeval as this test, installed or not
+    src = str(Path(chunkeval.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "chunkeval", "stats", str(data / "ref.m2")],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "icc_count\t4" in proc.stdout

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import random
 from dataclasses import replace
 
 import pytest
+import scoring_oracle
 from conftest import random_case
 
 from chunkeval import (
@@ -20,11 +22,13 @@ from chunkeval import (
     partition,
     precision_recall,
     raw_weight,
+    run_variant,
     score_sentence_dependent,
     score_sentence_independent,
     sum_counts,
     unweighted,
 )
+from chunkeval.scoring import FN_MODES
 from test_chunker import fig_sample, top_sample
 
 CFG = replace(default_config("dep"), ell=2.0)
@@ -203,6 +207,77 @@ class TestIndependent:
         dep, _ = score_sentence_dependent(cs, CFG)
         assert dep.fn_n == 1
         assert Scores.from_counts(dep, CFG.beta).f_beta == 0.0
+
+
+class TestMatchesSlotOracle:
+    """The record-based scorer against the per-slot scorer it replaced."""
+
+    @staticmethod
+    def bits(counts):
+        return tuple(
+            v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(counts)
+        )
+
+    @staticmethod
+    def ell_or_error(ell, dataset):
+        try:
+            return ell(dataset)
+        except NoChunksError:
+            return "no chunks"
+
+    def test_counts_choice_and_ell_are_identical(self):
+        rng = random.Random(89)
+        for _ in range(40):
+            batch = []
+            for _ in range(15):
+                source, hyp_edits, refs = random_case(rng, min_refs=0, max_refs=10)
+                if refs and rng.random() < 0.3:  # make TPs common
+                    hyp_edits = list(rng.choice(refs)[1])
+                batch.append(partition(source, hyp_edits, refs))
+            for dataset in [batch] + [[cs] for cs in batch]:
+                assert self.ell_or_error(compute_ell, dataset) == self.ell_or_error(
+                    scoring_oracle.compute_ell, dataset
+                )
+            ell = self.ell_or_error(compute_ell, batch)
+            ell = 1.0 if ell == "no chunks" else ell
+            profiles = [
+                replace(default_config(v), ell=ell)
+                for v in ("dep", "sent-dep", "sent-indep")
+            ]
+            heavy_tn = replace(profiles[0], clip_tn=(1.5, 1.5))  # profiles pin TN at 1
+            for cfg in profiles + [unweighted(profiles[0]), heavy_tn]:
+                for mode in FN_MODES:
+                    for cs in batch:
+                        dep, aid = score_sentence_dependent(cs, cfg, mode)
+                        want, want_aid = scoring_oracle.score_sentence_dependent(
+                            cs, cfg, mode
+                        )
+                        assert (self.bits(dep), aid) == (self.bits(want), want_aid)
+                        ind = score_sentence_independent(cs, cfg, mode)
+                        want = scoring_oracle.score_sentence_independent(cs, cfg, mode)
+                        assert self.bits(ind) == self.bits(want)
+
+    def test_run_variant_sums_the_same_sentences(self):
+        rng = random.Random(97)
+        batch = [
+            partition(*random_case(rng, min_refs=0, max_refs=10)) for _ in range(200)
+        ]
+        cfg = replace(default_config("dep"), ell=compute_ell(batch))
+        for variant in ("dep", "indep"):
+            result = run_variant(batch, variant, cfg, "both")
+            if variant == "dep":
+                pairs = [
+                    scoring_oracle.score_sentence_dependent(cs, cfg, "both")
+                    for cs in batch
+                ]
+                assert result.chosen_refs == tuple(aid for _, aid in pairs)
+                want = [counts for counts, _ in pairs]
+            else:
+                want = [
+                    scoring_oracle.score_sentence_independent(cs, cfg, "both")
+                    for cs in batch
+                ]
+            assert self.bits(result.counts) == self.bits(sum_counts(want))
 
 
 class TestFBeta:
@@ -410,6 +485,14 @@ class TestWeightConfig:
             WeightConfig(clip_fp=(2.0, 1.0))
         with pytest.raises(ValueError):
             WeightConfig(ell=0.0)
+
+    def test_rejects_infinite_clip_and_overflowing_beta(self):
+        for bounds in ((1.0, math.inf), (math.inf, math.inf)):
+            with pytest.raises(ValueError):
+                WeightConfig(clip_tp=bounds)
+        with pytest.raises(ValueError):
+            WeightConfig(beta=1e200)
+        assert WeightConfig(beta=1e150).beta == 1e150
 
     def test_variant_profiles(self):
         corpus = default_config("indep-acc")
