@@ -142,12 +142,23 @@ def corpus_stats(samples: Sequence[AnnotatedSample]) -> dict:
     }
 
 
+def _unit_scale(xs: Sequence[float]) -> list[float]:
+    """``xs`` times the power of two that puts max |x| in [0.5, 1).
+
+    The scaling is exact, so Pearson is unchanged, and squares of huge
+    scores can no longer overflow.
+    """
+    shift = -math.frexp(max(abs(x) for x in xs))[1]
+    return [math.ldexp(x, shift) for x in xs]
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient."""
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 3:
         raise ValueError("need at least 3 points")
+    xs, ys = _unit_scale(xs), _unit_scale(ys)
     n = len(xs)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
@@ -198,6 +209,10 @@ def correlate(
     if metric_ids != human_ids:
         raise SystemMismatchError(metric_ids - human_ids, human_ids - metric_ids)
     systems = sorted(metric_ids)
+    if len(systems) < 3:
+        raise DegenerateError(
+            f"correlation needs at least 3 systems, got {len(systems)}"
+        )
     xs = [metric_scores[s] for s in systems]
     ys = [human.scores[s] for s in systems]
     return pearson(xs, ys), spearman(xs, ys)
@@ -218,11 +233,18 @@ def load_human_table(text: str) -> HumanTable:
         system = cells[0].strip()
         if system in scores:
             raise ParseError(f"duplicate system {system!r}", lineno)
-        try:
-            scores[system] = float(cells[1])
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
+        scores[system] = _score(cells[1], lineno)
     return HumanTable(scores)
+
+
+def _score(text: str, lineno: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite score, got {text!r}", lineno)
+    return value
 
 
 def load_metric_scores(text: str, variant: str | None = None) -> dict[str, float]:
@@ -232,40 +254,54 @@ def load_metric_scores(text: str, variant: str | None = None) -> dict[str, float
     several variants, ``variant`` selects one. Accuracy variants contribute
     their Acc column, the others their F_beta column.
     """
-    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(text.splitlines(), 1)
+        if line.strip() and not line.startswith("#")
+    ]
     if not lines:
         raise ParseError("empty score file", 1)
-    header = [c.strip() for c in lines[0].split("\t")]
+    head_line, head = lines[0]
+    header = [c.strip() for c in head.split("\t")]
     if header == ["system", "score"]:
         return dict(load_human_table(text).scores)
     if "system" not in header or "variant" not in header:
         raise ParseError(
             "expected a score report header (with 'system' and 'variant' columns) "
             "or 'system<TAB>score'",
-            1,
+            head_line,
         )
     idx = {name: k for k, name in enumerate(header)}
     rows = []
-    for lineno, line in enumerate(lines[1:], 2):
+    for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) != len(header):
             raise ParseError(f"expected {len(header)} columns", lineno)
-        rows.append({name: cells[k] for name, k in idx.items()})
-    variants = sorted({r["variant"] for r in rows})
+        rows.append((lineno, {name: cells[k] for name, k in idx.items()}))
+    if not rows:
+        raise ParseError("score report has no rows", head_line)
+    variants = sorted({r["variant"] for _, r in rows})
     if variant is None:
         if len(variants) > 1:
             raise ParseError(
-                f"report holds several variants {variants}; pick one with --variant", 1
+                f"report holds several variants {variants}; pick one with --variant",
+                head_line,
             )
         variant = variants[0]
-    picked = [r for r in rows if r["variant"] == variant]
+    picked = [(lineno, r) for lineno, r in rows if r["variant"] == variant]
     if not picked:
-        raise ParseError(f"variant {variant!r} not present; report has {variants}", 1)
+        raise ParseError(
+            f"variant {variant!r} not present; report has {variants}", head_line
+        )
     column = "Acc" if variant.endswith("-acc") else "F_beta"
+    if column not in idx:
+        raise ParseError(f"report has no {column!r} column", head_line)
     scores: dict[str, float] = {}
-    for row in picked:
+    for lineno, row in picked:
         system = row["system"]
         if system in scores:
-            raise ParseError(f"duplicate system {system!r} for variant {variant!r}", 1)
-        scores[system] = float(row[column])
+            raise ParseError(
+                f"duplicate system {system!r} for variant {variant!r}", lineno
+            )
+        scores[system] = _score(row[column], lineno)
     return scores

@@ -20,7 +20,7 @@ from .analysis import (
     load_human_table,
     load_metric_scores,
 )
-from .chunker import chunk_table, partition
+from .chunker import ChunkedSample, chunk_table, partition
 from .corpus import (
     AnnotatedSample,
     drop_unchanged_references,
@@ -104,62 +104,18 @@ def _clip_pair(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _shared_flags() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--config",
-        metavar="FILE",
-        help="key=value file mirroring these flags; explicit flags win",
+def _hypothesis_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("hyp", help="hypothesis file (plain text or M2)")
+    p.add_argument("ref", help="reference M2 file")
+    p.add_argument(
+        "--hyp-format",
+        choices=("text", "m2"),
+        default="text",
+        help="hypothesis file format (default: text, one sentence per line)",
     )
-    shared.add_argument(
-        "--variant",
-        action="append",
-        choices=VARIANTS,
-        help="scorer variant (repeatable; default: dep)",
-    )
-    shared.add_argument("--alpha-tp", type=_scale_factor, help="TP scale factor override")
-    shared.add_argument("--alpha-fp", type=_scale_factor, help="FP scale factor override")
-    shared.add_argument("--alpha-fn", type=_scale_factor, help="FN scale factor override")
-    shared.add_argument("--clip-tp", type=_clip_pair, metavar="MIN,MAX")
-    shared.add_argument("--clip-fp", type=_clip_pair, metavar="MIN,MAX")
-    shared.add_argument("--clip-fn", type=_clip_pair, metavar="MIN,MAX")
-    shared.add_argument(
-        "--ell", type=_positive, help="average chunk length (default: computed)"
-    )
-    shared.add_argument("--beta", type=_beta, help="F-score beta (default: 0.5)")
-    shared.add_argument(
-        "--fn-on-mismatch",
-        choices=FN_MODES,
-        default=FN_FP_ONLY,
-        help="count a changed-but-wrong chunk as FP only (default) or as FP and FN",
-    )
-    shared.add_argument(
-        "--drop-unchanged-refs",
-        action="store_true",
-        help="drop annotators whose correction equals the source",
-    )
-    shared.add_argument(
-        "--format",
-        choices=("tsv", "json", "text"),
-        default="tsv",
-        help="output format (text applies to 'chunks' only)",
-    )
-    shared.add_argument(
-        "--only-changed",
-        action="store_true",
-        help="chunks: emit changed columns only",
-    )
-    shared.add_argument(
-        "--per-pass-mean",
-        action="store_true",
-        help="stats: average ratios per hold-out pass instead of pooling",
-    )
-    shared.add_argument("-o", "--out", metavar="FILE", help="write output here")
-    return shared
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    shared = _shared_flags()
     parser = argparse.ArgumentParser(
         prog="chunkeval",
         description=(
@@ -171,54 +127,101 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
 
-    p = commands["extract"] = sub.add_parser(
-        "extract",
-        parents=[shared],
-        help="extract edits from parallel text into an M2 file",
-    )
+    def command(name, summary, formats=(), drop_unchanged=False):
+        """A subcommand's parser with the flags every subcommand has."""
+        p = commands[name] = sub.add_parser(name, help=summary)
+        p.add_argument(
+            "--config",
+            metavar="FILE",
+            help="key=value file mirroring this command's flags; explicit flags win",
+        )
+        p.add_argument("-o", "--out", metavar="FILE", help="write output here")
+        if formats:
+            p.add_argument(
+                "--format",
+                choices=formats,
+                default=formats[0],
+                help=f"output format (default: {formats[0]})",
+            )
+        if drop_unchanged:
+            p.add_argument(
+                "--drop-unchanged-refs",
+                action="store_true",
+                help="drop annotators whose correction equals the source",
+            )
+        return p
+
+    p = command("extract", "extract edits from parallel text into an M2 file")
     p.add_argument("src", help="source sentences, one per line")
     p.add_argument("tgt", help="corrected sentences, one per line")
 
-    p = commands["evaluate"] = sub.add_parser(
+    p = command(
         "evaluate",
-        parents=[shared],
-        help="score a hypothesis file against a reference M2 file",
+        "score a hypothesis file against a reference M2 file",
+        ("tsv", "json"),
+        drop_unchanged=True,
     )
-    p.add_argument("hyp", help="hypothesis file (plain text or M2)")
-    p.add_argument("ref", help="reference M2 file")
-    p.add_argument(
-        "--hyp-format",
-        choices=("text", "m2"),
-        default="text",
-        help="hypothesis file format (default: text, one sentence per line)",
-    )
+    _hypothesis_args(p)
     p.add_argument("--system", help="system name for the report (default: hyp stem)")
-
-    p = commands["chunks"] = sub.add_parser(
-        "chunks",
-        parents=[shared],
-        help="dump the chunk partition tables",
-    )
-    p.add_argument("hyp", help="hypothesis file (plain text or M2)")
-    p.add_argument("ref", help="reference M2 file")
     p.add_argument(
-        "--hyp-format", choices=("text", "m2"), default="text", help="hypothesis format"
+        "--variant",
+        action="append",
+        choices=VARIANTS,
+        help="scorer variant (repeatable; default: dep)",
+    )
+    p.add_argument("--alpha-tp", type=_scale_factor, help="TP scale factor override")
+    p.add_argument("--alpha-fp", type=_scale_factor, help="FP scale factor override")
+    p.add_argument("--alpha-fn", type=_scale_factor, help="FN scale factor override")
+    p.add_argument("--clip-tp", type=_clip_pair, metavar="MIN,MAX")
+    p.add_argument("--clip-fp", type=_clip_pair, metavar="MIN,MAX")
+    p.add_argument("--clip-fn", type=_clip_pair, metavar="MIN,MAX")
+    p.add_argument(
+        "--ell", type=_positive, help="average chunk length (default: computed)"
+    )
+    p.add_argument("--beta", type=_beta, help="F-score beta (default: 0.5)")
+    p.add_argument(
+        "--fn-on-mismatch",
+        choices=FN_MODES,
+        default=FN_FP_ONLY,
+        help="count a changed-but-wrong chunk as FP only (default) or as FP and FN",
     )
 
-    p = commands["stats"] = sub.add_parser(
+    p = command(
+        "chunks",
+        "dump the chunk partition tables",
+        ("tsv", "text"),
+        drop_unchanged=True,
+    )
+    _hypothesis_args(p)
+    p.add_argument(
+        "--only-changed", action="store_true", help="emit changed columns only"
+    )
+
+    p = command(
         "stats",
-        parents=[shared],
-        help="boundary statistics of a multi-annotator M2 file",
+        "boundary statistics of a multi-annotator M2 file",
+        ("tsv", "json"),
+        drop_unchanged=True,
     )
     p.add_argument("ref", help="reference M2 file with >= 2 annotators per sentence")
+    p.add_argument(
+        "--per-pass-mean",
+        action="store_true",
+        help="average ratios per hold-out pass instead of pooling",
+    )
 
-    p = commands["correlate"] = sub.add_parser(
+    p = command(
         "correlate",
-        parents=[shared],
-        help="correlate a metric score report with a human score table",
+        "correlate a metric score report with a human score table",
+        ("tsv", "json"),
     )
     p.add_argument("scores", help="metric score report (or system<TAB>score TSV)")
     p.add_argument("human", help="human table: TSV with header system<TAB>score")
+    p.add_argument(
+        "--variant",
+        choices=VARIANTS,
+        help="the report variant to correlate (needed if it holds several)",
+    )
     return parser, commands
 
 
@@ -276,21 +279,24 @@ def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
     parser, commands = build_parser()
-    # First pass finds --config so its values become defaults; explicit
-    # flags then override them in the real parse. Defaults must land on
-    # the subcommand's parser: subparsers parse into a fresh namespace,
-    # so defaults set on the top-level parser would be shadowed.
-    probe, _ = parser.parse_known_args(argv)
-    if getattr(probe, "config", None):
-        config = _load_config_file(probe.config, commands[probe.command])
-        # an appending flag would add to a default list, not replace it
-        variants = config.pop("variant", None)
-        commands[probe.command].set_defaults(**config)
-        args = parser.parse_args(argv)
-        if args.variant is None and variants:
-            args.variant = variants
-        return args
-    return parser.parse_args(argv)
+    # The first parse finds --config (and any usage error); its values
+    # become defaults, which explicit flags override in the second parse.
+    # Defaults must land on the subcommand's parser: subparsers parse into
+    # a fresh namespace, so defaults set on the top-level parser would be
+    # shadowed.
+    probe = parser.parse_args(argv)
+    if not probe.config:
+        return probe
+    config = _load_config_file(probe.config, commands[probe.command])
+    # an appending flag would add to a default list, not replace it
+    lists = [key for key, value in config.items() if isinstance(value, list)]
+    appended = {key: config.pop(key) for key in lists}
+    commands[probe.command].set_defaults(**config)
+    args = parser.parse_args(argv)
+    for key, values in appended.items():
+        if getattr(args, key) is None and values:
+            setattr(args, key, values)
+    return args
 
 
 # --- helpers ---------------------------------------------------------------
@@ -314,16 +320,6 @@ def _write_out(args: argparse.Namespace, text: str) -> None:
 
 def _warn(message: str) -> None:
     print(f"chunkeval: {message}", file=sys.stderr)
-
-
-def _check_format(args, supported: tuple[str, ...]) -> int | None:
-    if args.format not in supported:
-        _warn(
-            f"{args.command} supports --format {{{','.join(supported)}}}, "
-            f"not {args.format!r}"
-        )
-        return 2
-    return None
 
 
 def _load_hypotheses(args, samples: list[AnnotatedSample]) -> list[list]:
@@ -360,28 +356,34 @@ def _load_hypotheses(args, samples: list[AnnotatedSample]) -> list[list]:
     ]
 
 
-def _apply_drop_unchanged(
-    samples: list[AnnotatedSample], hyp_edits: list[list] | None
-) -> tuple[list[AnnotatedSample], list[list] | None]:
-    kept_samples, kept_hyp = [], []
-    skipped = 0
+def _drop_unchanged(
+    samples: list[AnnotatedSample], min_annotators: int
+) -> dict[int, AnnotatedSample]:
+    """Samples by index without their unchanged annotators; thin ones skipped."""
+    kept = {}
     for i, sample in enumerate(samples):
         filtered = drop_unchanged_references(sample)
-        if filtered is None:
-            skipped += 1
-            continue
-        kept_samples.append(filtered)
-        if hyp_edits is not None:
-            kept_hyp.append(hyp_edits[i])
+        if filtered is not None and len(filtered.annotator_ids) >= min_annotators:
+            kept[i] = filtered
+    skipped = len(samples) - len(kept)
     if skipped:
         _warn(
-            f"--drop-unchanged-refs removed every annotator of {skipped} sample(s); "
-            "those samples were skipped"
+            f"--drop-unchanged-refs left {skipped} sample(s) with fewer than "
+            f"{min_annotators} annotator(s); those samples were skipped"
         )
-    return kept_samples, (kept_hyp if hyp_edits is not None else None)
+    return kept
 
 
-def _chunked_dataset(samples, hyp_edits):
+def _load_chunked(args) -> list[ChunkedSample]:
+    """Partitioned samples of the hypothesis against the references."""
+    samples = parse_m2(_read(args.ref))
+    hyp_edits = _load_hypotheses(args, samples)
+    if args.drop_unchanged_refs:
+        kept = _drop_unchanged(samples, 1)
+        samples = list(kept.values())
+        hyp_edits = [hyp_edits[i] for i in kept]
+    if not samples:
+        raise DataError(f"no samples left to {args.command}")
     return [
         partition(
             sample.source,
@@ -409,16 +411,12 @@ def _resolve_configs(args, chunked):
             _warn(f"{exc}; falling back to unweighted counts")
             ell, pinned = 1.0, True
     meta["ell"] = round(ell, 4)
+    names = "alpha_tp alpha_fp alpha_fn clip_tp clip_fp clip_fn beta".split()
+    overrides = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
     configs = {}
     for variant in variants:
-        cfg = replace(default_config(variant), ell=ell)
-        for name in ("alpha_tp", "alpha_fp", "alpha_fn", "clip_tp", "clip_fp", "clip_fn", "beta"):
-            value = getattr(args, name)
-            if value is not None:
-                cfg = replace(cfg, **{name: value})
-        if pinned:
-            cfg = unweighted(cfg)
-        configs[variant] = cfg
+        cfg = replace(default_config(variant), ell=ell, **overrides)
+        configs[variant] = unweighted(cfg) if pinned else cfg
     return configs, meta
 
 
@@ -466,16 +464,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    bad = _check_format(args, ("tsv", "json"))
-    if bad:
-        return bad
-    samples = parse_m2(_read(args.ref))
-    hyp_edits = _load_hypotheses(args, samples)
-    if args.drop_unchanged_refs:
-        samples, hyp_edits = _apply_drop_unchanged(samples, hyp_edits)
-    if not samples:
-        raise DataError("no samples left to evaluate")
-    chunked = _chunked_dataset(samples, hyp_edits)
+    chunked = _load_chunked(args)
     configs, meta = _resolve_configs(args, chunked)
     system = args.system or Path(args.hyp).stem
     rows = [
@@ -487,53 +476,26 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_chunks(args) -> int:
-    bad = _check_format(args, ("tsv", "text"))
-    if bad:
-        return bad
-    samples = parse_m2(_read(args.ref))
-    hyp_edits = _load_hypotheses(args, samples)
-    if args.drop_unchanged_refs:
-        samples, hyp_edits = _apply_drop_unchanged(samples, hyp_edits)
-    chunked = _chunked_dataset(samples, hyp_edits)
-    tables = [chunk_table(cs, only_changed=args.only_changed) for cs in chunked]
+    tables = [chunk_table(cs, args.only_changed) for cs in _load_chunked(args)]
     _write_out(args, _format_tables(tables, args.format))
     return 0
 
 
 def cmd_stats(args) -> int:
-    bad = _check_format(args, ("tsv", "json"))
-    if bad:
-        return bad
     samples = parse_m2(_read(args.ref))
     if args.drop_unchanged_refs:
-        kept = []
-        skipped = 0
-        for sample in samples:
-            filtered = drop_unchanged_references(sample)
-            if filtered is None or len(filtered.annotator_ids) < 2:
-                skipped += 1
-                continue
-            kept.append(filtered)
-        if skipped:
-            _warn(
-                f"--drop-unchanged-refs left {skipped} sample(s) with fewer than "
-                "2 annotators; skipped"
-            )
-        samples = kept
+        samples = list(_drop_unchanged(samples, 2).values())
     stats = boundary_stats(samples, per_pass_mean=args.per_pass_mean)
-    table = corpus_stats(samples)
-    payload = dict(table)
-    payload.update(
-        {
-            "icc": round(stats.icc, 4),
-            "icc_count": stats.icc_count,
-            "iuc": round(stats.iuc, 4),
-            "iuc_count": stats.iuc_count,
-            "cc": round(stats.cc, 4),
-            "cc_count": stats.cc_count,
-            "edits_held_out": stats.edits_total,
-        }
-    )
+    payload = {
+        **corpus_stats(samples),
+        "icc": stats.icc,
+        "icc_count": stats.icc_count,
+        "iuc": stats.iuc,
+        "iuc_count": stats.iuc_count,
+        "cc": stats.cc,
+        "cc_count": stats.cc_count,
+        "edits_held_out": stats.edits_total,
+    }
     for key, value in payload.items():
         if isinstance(value, float):
             payload[key] = round(value, 4)
@@ -546,11 +508,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    bad = _check_format(args, ("tsv", "json"))
-    if bad:
-        return bad
-    variant = args.variant[0] if args.variant else None
-    metric = load_metric_scores(_read(args.scores), variant)
+    metric = load_metric_scores(_read(args.scores), args.variant)
     human = load_human_table(_read(args.human))
     gamma, rho = correlate(metric, human)
     systems = sorted(metric)
@@ -586,10 +544,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(argv)
         return _COMMANDS[args.command](args)
-    except DataError as exc:
-        _warn(str(exc))
-        return 3
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         _warn(str(exc))
         return 3
 

@@ -44,7 +44,7 @@ class TooFewAnnotatorsError(DataError):
 
 
 class DegenerateError(DataError):
-    """Correlation is undefined when a score list is constant."""
+    """Correlation is undefined: fewer than 3 systems, or constant scores."""
 
 
 class SystemMismatchError(DataError):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -332,7 +333,6 @@ class TestEvaluate:
             ("fn-on-mismatch=bogus", "bogus"),
             ("format=xml", "xml"),
             ("variant=dep,bogus", "bogus"),
-            ("per-pass-mean=maybe", "maybe"),
             ("drop-unchanged-refs=2", "'2'"),
             ("hyp=other.txt", "hyp"),
             ("config=other.cfg", "config"),
@@ -342,7 +342,7 @@ class TestEvaluate:
         self, data, tmp_path, capsys, line, named
     ):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"per-pass-mean=off\n{line}\n", encoding="utf-8")
+        cfg.write_text(f"drop-unchanged-refs=off\n{line}\n", encoding="utf-8")
         argv = ["evaluate", str(data / "ref0-as-hyp.txt"), str(data / "ref.m2")]
         code, out, err = run(capsys, argv + ["--config", str(cfg)])
         assert code == 3
@@ -532,6 +532,17 @@ class TestStats:
         assert code == 3
         assert "annotator" in err
 
+    def test_bad_config_value_is_data_error_with_line(self, data, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "drop-unchanged-refs=off\nper-pass-mean=maybe\n", encoding="utf-8"
+        )
+        argv = ["stats", str(data / "ref.m2"), "--config", str(cfg)]
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert f"{cfg}:2:" in err and "maybe" in err
+
     def test_drop_unchanged_refs_skips_thin_samples(self, data, capsys):
         code, out, err = run(
             capsys, ["stats", str(data / "ref.m2"), "--drop-unchanged-refs"]
@@ -607,6 +618,37 @@ class TestCorrelate:
         payload = json.loads(out)
         assert payload["pearson"] > 0.8
 
+    @pytest.mark.parametrize(
+        "metric, named",
+        [
+            ("system\tscore\ns1\t0.1\ns2\t0.2\n", "at least 3 systems, got 2"),
+            (
+                "# ell: 2.0\nsystem\tF_beta\tvariant\ns1\t0.1\tdep\n"
+                "s2\tn/a\tdep\ns3\t0.3\tdep\n",
+                "line 4:",
+            ),
+            (
+                "# ell: 2.0\nsystem\tP\tvariant\ns1\t0.1\tdep\n"
+                "s2\t0.2\tdep\ns3\t0.3\tdep\n",
+                "line 2:",
+            ),
+        ],
+        ids=["two-systems", "score-not-a-number", "no-score-column"],
+    )
+    def test_bad_reports_are_data_errors(self, tmp_path, capsys, metric, named):
+        human = "system\tscore\ns1\t1.0\ns2\t2.0\n"
+        if "s3" in metric:
+            human += "s3\t4.0\n"
+        (tmp_path / "metric.tsv").write_text(metric, encoding="utf-8")
+        (tmp_path / "human.tsv").write_text(human, encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            ["correlate", str(tmp_path / "metric.tsv"), str(tmp_path / "human.tsv")],
+        )
+        assert code == 3
+        assert out == ""
+        assert named in err
+
     def test_system_mismatch_is_data_error(self, tmp_path, capsys):
         (tmp_path / "metric.tsv").write_text(
             "system\tscore\ns1\t0.1\ns2\t0.2\ns3\t0.4\n", encoding="utf-8"
@@ -622,19 +664,125 @@ class TestCorrelate:
         assert "s3" in err and "sX" in err
 
 
-def test_unsupported_format_is_usage_error(data, capsys):
-    code, _, err = run(
-        capsys,
-        [
-            "chunks",
-            str(data / "ref0-as-hyp.txt"),
-            str(data / "ref.m2"),
-            "--format",
-            "json",
-        ],
+# The flags each subcommand accepts: 33 in all.
+FLAGS = {
+    "extract": {"--config", "--out"},
+    "evaluate": {
+        "--config",
+        "--out",
+        "--format",
+        "--drop-unchanged-refs",
+        "--hyp-format",
+        "--system",
+        "--variant",
+        "--alpha-tp",
+        "--alpha-fp",
+        "--alpha-fn",
+        "--clip-tp",
+        "--clip-fp",
+        "--clip-fn",
+        "--ell",
+        "--beta",
+        "--fn-on-mismatch",
+    },
+    "chunks": {
+        "--config",
+        "--out",
+        "--format",
+        "--drop-unchanged-refs",
+        "--hyp-format",
+        "--only-changed",
+    },
+    "stats": {
+        "--config",
+        "--out",
+        "--format",
+        "--drop-unchanged-refs",
+        "--per-pass-mean",
+    },
+    "correlate": {"--config", "--out", "--format", "--variant"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_help_lists_only_the_commands_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == FLAGS[command] | {"--help"}
+
+
+def _argv(command, data):
+    files = {
+        "extract": ["ref0-as-hyp.txt", "source-as-hyp.txt"],
+        "evaluate": ["ref0-as-hyp.txt", "ref.m2"],
+        "chunks": ["ref0-as-hyp.txt", "ref.m2"],
+        "stats": ["ref.m2"],
+        "correlate": ["ref0-as-hyp.txt", "source-as-hyp.txt"],
+    }
+    return [command] + [str(data / name) for name in files[command]]
+
+
+FOREIGN = [
+    ("extract", ["--ell", "3"]),
+    ("extract", ["--format", "tsv"]),
+    ("evaluate", ["--per-pass-mean"]),
+    ("evaluate", ["--only-changed"]),
+    ("chunks", ["--variant", "dep"]),
+    ("stats", ["--variant", "dep"]),
+    ("stats", ["--hyp-format", "m2"]),
+    ("correlate", ["--beta", "1"]),
+]
+FOREIGN_IDS = [f"{command}{flag[0]}" for command, flag in FOREIGN]
+
+
+@pytest.mark.parametrize("command, flag", FOREIGN, ids=FOREIGN_IDS)
+def test_foreign_flag_is_usage_error(data, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(_argv(command, data) + flag)
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", FOREIGN, ids=FOREIGN_IDS)
+def test_foreign_config_key_is_data_error_with_line(
+    data, tmp_path, capsys, command, flag
+):
+    cfg = tmp_path / "run.cfg"
+    value = flag[1] if len(flag) > 1 else "on"
+    cfg.write_text(f"{flag[0][2:]}={value}\n", encoding="utf-8")
+    code, out, err = run(capsys, _argv(command, data) + ["--config", str(cfg)])
+    assert code == 3
+    assert out == ""
+    assert f"{cfg}:1:" in err and "unknown config key" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "chunks"])
+def test_empty_inputs_are_data_error(tmp_path, capsys, command):
+    (tmp_path / "hyp.txt").write_text("", encoding="utf-8")
+    (tmp_path / "ref.m2").write_text("", encoding="utf-8")
+    code, out, err = run(
+        capsys, [command, str(tmp_path / "hyp.txt"), str(tmp_path / "ref.m2")]
     )
-    assert code == 2
-    assert "tsv" in err
+    assert code == 3
+    assert out == ""
+    assert "no samples" in err
+
+
+def test_unsupported_format_is_usage_error(data, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "chunks",
+                str(data / "ref0-as-hyp.txt"),
+                str(data / "ref.m2"),
+                "--format",
+                "json",
+            ]
+        )
+    assert exc.value.code == 2
+    assert "tsv" in capsys.readouterr().err
 
 
 def test_module_entry_point(data):
