@@ -368,8 +368,8 @@ def _drop_unchanged(
     skipped = len(samples) - len(kept)
     if skipped:
         _warn(
-            f"--drop-unchanged-refs left {skipped} sample(s) with fewer than "
-            f"{min_annotators} annotator(s); those samples were skipped"
+            f"--drop-unchanged-refs skipped {skipped} sample(s); each needs at "
+            f"least {min_annotators} annotator(s) with edits"
         )
     return kept
 
