@@ -24,13 +24,7 @@ from .analysis import (
     pearson,
     spearman,
 )
-from .chunker import (
-    Chunk,
-    ChunkedSample,
-    chunk_length,
-    chunk_table,
-    partition,
-)
+from .chunker import ChunkedSample, chunk_table, partition
 from .corpus import (
     AnnotatedSample,
     Edit,
@@ -80,7 +74,6 @@ __all__ = [
     "AnnotatedSample",
     "BoundaryStats",
     "BoundsError",
-    "Chunk",
     "ChunkedSample",
     "DataError",
     "DegenerateError",
@@ -103,7 +96,6 @@ __all__ = [
     "aggregate_sentence",
     "apply_edits",
     "boundary_stats",
-    "chunk_length",
     "chunk_table",
     "compute_ell",
     "correlate",

@@ -10,8 +10,8 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .chunker import CORRECTED, UNCHANGED, chunk_length, partition, slot_spans
-from .corpus import AnnotatedSample, apply_edits
+from .chunker import partition, slot_spans
+from .corpus import AnnotatedSample
 from .errors import (
     DegenerateError,
     NoChunksError,
@@ -106,21 +106,26 @@ def corpus_stats(samples: Sequence[AnnotatedSample]) -> dict:
     unchanged_len: list[int] = []
     changed_len: list[int] = []
     for sample in samples:
-        for aid in sample.annotator_ids:
-            ref_len.append(len(apply_edits(sample.source, sample.annotations[aid])))
-            edit_len.extend(len(e.replacement) for e in sample.annotations[aid])
-        cs = partition(
-            sample.source,
-            (),
-            [(aid, sample.annotations[aid]) for aid in sample.annotator_ids],
-        )
-        # Dummy chunks (an insertion slot a reference did not use) count as neither.
-        for _, chunks in cs.ref_chunks:
-            for chunk in chunks:
-                if chunk.kind == UNCHANGED:
-                    unchanged_len.append(chunk_length(chunk))
-                elif chunk.kind == CORRECTED:
-                    changed_len.append(chunk_length(chunk))
+        refs = [(aid, sample.annotations[aid]) for aid in sample.annotator_ids]
+        for _, edits in refs:
+            growth = sum(len(e.replacement) - (e.end - e.start) for e in edits)
+            ref_len.append(len(sample.source) + growth)
+            edit_len.extend(len(e.replacement) for e in edits)
+        cs = partition(sample.source, (), refs)
+        # Every reference has every unchanged span; it changed a slot where
+        # its segment differs from the source span. Dummy chunks (an
+        # insertion slot a reference did not use) count as neither.
+        spans, slots = cs.boundary_spans, cs.changed_indices
+        unchanged = [b - a for k, (a, b) in enumerate(spans) if k not in slots]
+        unchanged_len += unchanged * len(refs)
+        for idx, segments in zip(slots, zip(*cs.slot_segments[1:])):
+            a, b = spans[idx]
+            kept = sample.source[a:b]
+            for segment in segments:
+                if segment != kept:
+                    changed_len.append(max(b - a, len(segment)))
+                elif a < b:
+                    unchanged_len.append(b - a)
 
     def _mean(xs):
         return math.fsum(xs) / len(xs) if xs else 0.0

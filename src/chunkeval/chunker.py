@@ -3,7 +3,8 @@
 The edit sets of the hypothesis and all references are pooled; edits whose
 closed source intervals touch or overlap are merged into one changed slot.
 Every sequence is then segmented into the same number of chunks: the slots
-plus the unchanged stretches between them.
+plus the unchanged stretches between them. Only the slots are spliced and
+stored per sequence; every other chunk is the source span itself.
 """
 
 from collections.abc import Iterable, Sequence
@@ -12,70 +13,42 @@ from functools import cached_property
 
 from .corpus import Edit, TokenSeq, check_edits
 
-UNCHANGED = "unchanged"
-CORRECTED = "corrected"
-DUMMY = "dummy"
-
-
-@dataclass(frozen=True, slots=True)
-class Chunk:
-    """One chunk of one sequence.
-
-    ``kind`` is per sequence: ``unchanged`` when the segment equals the
-    source span, ``corrected`` when it differs, ``dummy`` for the empty
-    placeholder at an insertion point the sequence did not use.
-    """
-
-    index: int
-    src_start: int
-    src_end: int
-    segment: TokenSeq
-    kind: str
-
-
-def chunk_length(chunk: Chunk) -> int:
-    """Chunk length: the larger of source-span size and segment size."""
-    return max(chunk.src_end - chunk.src_start, len(chunk.segment))
-
 
 @dataclass(frozen=True)
 class ChunkedSample:
-    """Source, hypothesis and references segmented with shared boundaries."""
+    """Source, hypothesis and references segmented with shared boundaries.
+
+    ``slot_segments`` holds one tuple per sequence, the hypothesis first and
+    then each reference in ``annotator_ids`` order, with that sequence's
+    segment at each slot of ``changed_indices``.
+    """
 
     source: TokenSeq
-    hyp_chunks: tuple[Chunk, ...]
-    ref_chunks: tuple[tuple[int, tuple[Chunk, ...]], ...]
     boundary_spans: tuple[tuple[int, int], ...]
     changed_indices: tuple[int, ...]
-
-    @property
-    def src_chunks(self) -> tuple[Chunk, ...]:
-        chunks = []
-        for idx, (a, b) in enumerate(self.boundary_spans):
-            seg = self.source[a:b]
-            kind = DUMMY if a == b else UNCHANGED
-            chunks.append(Chunk(idx, a, b, seg, kind))
-        return tuple(chunks)
+    annotator_ids: tuple[int, ...]
+    slot_segments: tuple[tuple[TokenSeq, ...], ...]
 
     @cached_property
     def slot_records(self) -> tuple[tuple[int, ...], ...]:
         """One record of small ints per changed slot, built on first use.
 
-        A record starts with the hypothesis chunk's length if it is
-        ``corrected`` (else 0), followed by one int per reference in
-        ``ref_chunks`` order: twice its chunk's length if that chunk is
-        ``corrected`` (else 0), plus 1 if its segment equals the hypothesis
-        segment. Corrected chunks are at least one token long, so a
-        reference changed the slot exactly when its int is above 1.
+        A record starts with the hypothesis chunk's length if the hypothesis
+        changed the slot (its segment differs from the source span), else 0.
+        Then one int per reference in ``annotator_ids`` order: twice its
+        chunk's length if it changed the slot (else 0), plus 1 if its
+        segment equals the hypothesis segment. A chunk's length is the
+        larger of the span's and the segment's, at least 1 for a changed
+        chunk, so a reference changed the slot exactly when its int is > 1.
         """
         records = []
-        for idx in self.changed_indices:
-            hyp = self.hyp_chunks[idx]
-            record = [chunk_length(hyp) if hyp.kind == CORRECTED else 0]
-            for _, chunks in self.ref_chunks:
-                ref = chunks[idx]
-                changed = 2 * chunk_length(ref) if ref.kind == CORRECTED else 0
-                record.append(changed + (ref.segment == hyp.segment))
+        for idx, (hyp, *refs) in zip(self.changed_indices, zip(*self.slot_segments)):
+            a, b = self.boundary_spans[idx]
+            kept = self.source[a:b]
+            record = [0 if hyp == kept else max(b - a, len(hyp))]
+            for ref in refs:
+                changed = 0 if ref == kept else 2 * max(b - a, len(ref))
+                record.append(changed + (ref == hyp))
             records.append(tuple(record))
         return tuple(records)
 
@@ -109,21 +82,24 @@ def slot_spans(
     return tuple(spans), tuple(changed)
 
 
-def _segment_sequence(
-    source: TokenSeq,
-    edits: tuple[Edit, ...],
-    spans: tuple[tuple[int, int], ...],
-    changed: tuple[int, ...],
-    template: list[Chunk | None],
-) -> tuple[Chunk, ...]:
-    """Fill the slots of ``template`` by splicing sorted, checked edits."""
-    chunks = list(template)
-    i = 0
-    for idx in changed:
-        a, b = spans[idx]
+def _splice_slots(
+    source: TokenSeq, edits: tuple[Edit, ...], slots: list[tuple[int, int, TokenSeq]]
+) -> tuple[TokenSeq, ...]:
+    """The segment of one sequence at each slot ``(a, b, source[a:b])``.
+
+    Sorted, checked edits are spliced into the slot's source span; a slot
+    that none of them falls in keeps the span itself.
+    """
+    segments = [kept for _, _, kept in slots]
+    i, n_edits = 0, len(edits)
+    for k, (a, b, _) in enumerate(slots):
+        if i == n_edits:
+            break
+        if edits[i].start > b:
+            continue
         out: list[str] = []
         pos = a
-        while i < len(edits) and edits[i].start <= b:
+        while i < n_edits and edits[i].start <= b:
             e = edits[i]
             if e.start < pos or e.end > b:
                 raise AssertionError("edit escaped its merged slot")
@@ -132,15 +108,10 @@ def _segment_sequence(
             pos = e.end
             i += 1
         out.extend(source[pos:b])
-        segment = tuple(out)
-        if a == b:
-            kind = CORRECTED if segment else DUMMY
-        else:
-            kind = UNCHANGED if segment == source[a:b] else CORRECTED
-        chunks[idx] = Chunk(idx, a, b, segment, kind)
-    if i != len(edits):
+        segments[k] = tuple(out)
+    if i != n_edits:
         raise AssertionError("edit escaped its merged slot")
-    return tuple(chunks)
+    return tuple(segments)
 
 
 def partition(
@@ -151,21 +122,13 @@ def partition(
     """Segment source, hypothesis and references into aligned chunks."""
     source = tuple(source)
     n = len(source)
-    hyp = check_edits(hyp_edits, n)
     refs = [(aid, check_edits(edits, n)) for aid, edits in ref_edit_sets]
-    spans, changed = slot_spans(n, [hyp] + [edits for _, edits in refs])
-    # Unchanged chunks are the same in every sequence; slots are filled in.
-    slots = set(changed)
-    template: list[Chunk | None] = [
-        None if idx in slots else Chunk(idx, a, b, source[a:b], UNCHANGED)
-        for idx, (a, b) in enumerate(spans)
-    ]
-    hyp_chunks = _segment_sequence(source, hyp, spans, changed, template)
-    ref_chunks = tuple(
-        (aid, _segment_sequence(source, edits, spans, changed, template))
-        for aid, edits in refs
-    )
-    return ChunkedSample(source, hyp_chunks, ref_chunks, spans, changed)
+    edit_sets = [check_edits(hyp_edits, n)] + [edits for _, edits in refs]
+    spans, changed = slot_spans(n, edit_sets)
+    slots = [(a, b, source[a:b]) for a, b in (spans[idx] for idx in changed)]
+    segments = tuple(_splice_slots(source, edits, slots) for edits in edit_sets)
+    ids = tuple(aid for aid, _ in refs)
+    return ChunkedSample(source, spans, changed, ids, segments)
 
 
 def chunk_table(cs: ChunkedSample, only_changed: bool = False) -> list[list[str]]:
@@ -182,10 +145,12 @@ def chunk_table(cs: ChunkedSample, only_changed: bool = False) -> list[list[str]
     header = ["sequence"] + [
         f"chunk-{i + 1}" + (" *" if i in changed else "") for i in columns
     ]
-    rows = [header]
-    src_chunks = cs.src_chunks
-    rows.append(["source"] + [" ".join(src_chunks[i].segment) for i in columns])
-    rows.append(["hypothesis"] + [" ".join(cs.hyp_chunks[i].segment) for i in columns])
-    for aid, chunks in cs.ref_chunks:
-        rows.append([f"ref-{aid}"] + [" ".join(chunks[i].segment) for i in columns])
+    kept = [" ".join(cs.source[a:b]) for a, b in cs.boundary_spans]
+    rows = [header, ["source"] + [kept[i] for i in columns]]
+    names = ["hypothesis"] + [f"ref-{aid}" for aid in cs.annotator_ids]
+    for name, segments in zip(names, cs.slot_segments):
+        cells = list(kept)
+        for idx, segment in zip(cs.changed_indices, segments):
+            cells[idx] = " ".join(segment)
+        rows.append([name] + [cells[i] for i in columns])
     return rows

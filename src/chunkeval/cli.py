@@ -27,6 +27,7 @@ from .corpus import (
     emit_m2,
     load_parallel,
     parse_m2,
+    split_lines,
     tokenize,
 )
 from .errors import DataError, LengthMismatchError, NoChunksError
@@ -40,21 +41,9 @@ from .scoring import (
     unweighted,
 )
 
-REPORT_COLUMNS = (
-    "system",
-    "tp_w",
-    "fp_w",
-    "fn_w",
-    "tn_w",
-    "tp_n",
-    "fp_n",
-    "fn_n",
-    "tn_n",
-    "P",
-    "R",
-    "F_beta",
-    "Acc",
-    "variant",
+# The columns of a score report: the keys of VariantResult.as_row, in order.
+REPORT_COLUMNS = tuple(
+    "system tp_w fp_w fn_w tn_w tp_n fp_n fn_n tn_n P R F_beta Acc variant".split()
 )
 
 
@@ -87,6 +76,13 @@ def _beta(text: str) -> float:
             f"expected a number whose square is finite, got {text!r}"
         )
     return value
+
+
+def _system_name(text: str) -> str:
+    """Argparse type for a report's system name: one TSV cell on one line."""
+    if any(c in text for c in "\t\r\n"):
+        raise argparse.ArgumentTypeError(f"expected no tab, CR or LF, got {text!r}")
+    return text
 
 
 def _clip_pair(text: str) -> tuple[float, float]:
@@ -162,7 +158,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         drop_unchanged=True,
     )
     _hypothesis_args(p)
-    p.add_argument("--system", help="system name for the report (default: hyp stem)")
+    p.add_argument(
+        "--system",
+        type=_system_name,
+        help="system name for the report (default: hyp stem)",
+    )
     p.add_argument(
         "--variant",
         action="append",
@@ -322,8 +322,8 @@ def _warn(message: str) -> None:
     print(f"chunkeval: {message}", file=sys.stderr)
 
 
-def _load_hypotheses(args, samples: list[AnnotatedSample]) -> list[list]:
-    """Per-sample hypothesis edit lists, from plain text or an M2 file."""
+def _load_hypotheses(args, samples: list[AnnotatedSample]) -> list:
+    """Per-sample hypothesis edits, from plain text or an M2 file."""
     if args.hyp_format == "m2":
         hyp_samples = parse_m2(_read(args.hyp))
         if len(hyp_samples) != len(samples):
@@ -343,9 +343,9 @@ def _load_hypotheses(args, samples: list[AnnotatedSample]) -> list[list]:
                     f"sample {i + 1}: hypothesis M2 has {len(ids)} annotators; "
                     f"using annotator {ids[0]}"
                 )
-            edits.append(list(h.annotations[ids[0]]) if ids else [])
+            edits.append(h.annotations[ids[0]] if ids else ())
         return edits
-    lines = _read(args.hyp).splitlines()
+    lines = split_lines(_read(args.hyp))
     if len(lines) != len(samples):
         raise LengthMismatchError(
             f"hypothesis has {len(lines)} lines, references have {len(samples)} samples"

@@ -62,14 +62,26 @@ class Edit:
             raise ValueError(f"negative annotator id {self.annotator_id}")
 
 
-def check_edits(edits: Sequence[Edit], source_len: int) -> tuple[Edit, ...]:
-    """Sort edits by (start, end) and verify bounds and non-overlap."""
-    ordered = tuple(sorted(edits, key=lambda e: (e.start, e.end)))
-    for e in ordered:
+class _CheckedEdits(tuple):
+    """Edits that ``check_edits`` sorted and found disjoint, so ends ascend."""
+
+    __slots__ = ()
+
+
+def check_edits(edits: Iterable[Edit], source_len: int) -> tuple[Edit, ...]:
+    """Sort edits by (start, end) and verify bounds and non-overlap.
+
+    Of edits that it returned before, only the last end is checked again.
+    """
+    checked = type(edits) is _CheckedEdits
+    ordered = edits if checked else tuple(sorted(edits, key=lambda e: (e.start, e.end)))
+    for e in ordered[-1:] if checked else ordered:
         if e.end > source_len:
             raise BoundsError(
                 f"edit [{e.start}, {e.end}) exceeds source length {source_len}"
             )
+    if checked:
+        return ordered
     for a, b in zip(ordered, ordered[1:]):
         if a.end > b.start:
             raise OverlapError(
@@ -77,7 +89,7 @@ def check_edits(edits: Sequence[Edit], source_len: int) -> tuple[Edit, ...]:
             )
         if a.start == a.end == b.start == b.end:
             raise OverlapError(f"two insertions at position {a.start}")
-    return ordered
+    return _CheckedEdits(ordered) if ordered else ()
 
 
 @dataclass(frozen=True)
@@ -106,10 +118,9 @@ class AnnotatedSample:
 
 def apply_edits(source: Sequence[str], edits: Iterable[Edit]) -> TokenSeq:
     """Replace each edit span by its replacement, left to right."""
-    ordered = check_edits(list(edits), len(source))
     out: list[str] = []
     pos = 0
-    for e in ordered:
+    for e in check_edits(edits, len(source)):
         out.extend(source[pos : e.start])
         out.extend(e.replacement)
         pos = e.end
@@ -142,8 +153,7 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
             raise ParseError(str(exc), block_line) from exc
         source, edits, noop_ids = None, {}, set()
 
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(split_lines(text), 1):
         if not line.strip():
             flush()
             continue
@@ -200,9 +210,14 @@ def _parse_a_line(
     replacement = () if fields[2] == _NONE_FIELD else tokenize(fields[2])
     if start == end and not replacement:
         raise ParseError("insertion with empty replacement", lineno)
-    edits.setdefault(annotator, []).append(
-        Edit(start, end, replacement, type_label, annotator)
-    )
+    # every field is checked above, so Edit.__post_init__ is not run again
+    edit, set_field = object.__new__(Edit), object.__setattr__
+    set_field(edit, "start", start)
+    set_field(edit, "end", end)
+    set_field(edit, "replacement", replacement)
+    set_field(edit, "type_label", type_label)
+    set_field(edit, "annotator_id", annotator)
+    edits.setdefault(annotator, []).append(edit)
 
 
 def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
@@ -227,10 +242,22 @@ def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
     return "".join(block + "\n\n" for block in blocks)
 
 
+def split_lines(text: str) -> list[str]:
+    """Lines split at ``\n`` only, without trailing ``\r``; a final ``\n`` ends a line.
+
+    ``\f``, ``\x1c``, ``\x85``, ``\u2028`` and the other breaks of
+    ``str.splitlines`` stay inside their line.
+    """
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return [line.rstrip("\r") for line in lines]
+
+
 def load_parallel(src_text: str, tgt_text: str) -> list[tuple[TokenSeq, TokenSeq]]:
     """Pair up the i-th source and target lines, tokenized."""
-    src_lines = src_text.splitlines()
-    tgt_lines = tgt_text.splitlines()
+    src_lines = split_lines(src_text)
+    tgt_lines = split_lines(tgt_text)
     if len(src_lines) != len(tgt_lines):
         raise LengthMismatchError(
             f"source has {len(src_lines)} lines, target has {len(tgt_lines)}"

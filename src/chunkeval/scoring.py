@@ -187,11 +187,13 @@ def sum_counts(per_sentence: Sequence[OutcomeCounts]) -> OutcomeCounts:
     )
 
 
+def _share(tp_w: float, other_w: float) -> float:
+    return tp_w / (tp_w + other_w) if tp_w + other_w > 0 else 1.0
+
+
 def precision_recall(counts: OutcomeCounts) -> tuple[float, float]:
     """Weighted precision and recall; empty denominators count as 1.0."""
-    p = counts.tp_w / (counts.tp_w + counts.fp_w) if counts.tp_w + counts.fp_w > 0 else 1.0
-    r = counts.tp_w / (counts.tp_w + counts.fn_w) if counts.tp_w + counts.fn_w > 0 else 1.0
-    return p, r
+    return _share(counts.tp_w, counts.fp_w), _share(counts.tp_w, counts.fn_w)
 
 
 def f_beta_formula(p: float, r: float, beta: float = 0.5) -> float:
@@ -291,29 +293,36 @@ class _SlotScorer:
                 tn_w += tn
                 tn_n += 1
         n_unchanged = len(cs.boundary_spans) - len(cs.changed_indices)
-        return OutcomeCounts(
-            tp_w=tp_w,
-            fp_w=fp_w,
-            fn_w=fn_w,
-            tn_w=tn_w + n_unchanged * tn,
-            tp_n=tp_n,
-            fp_n=fp_n,
-            fn_n=fn_n,
-            tn_n=tn_n + n_unchanged,
-        )
+        tn_w += n_unchanged * tn
+        tn_n += n_unchanged
+        return OutcomeCounts(tp_w, fp_w, fn_w, tn_w, tp_n, fp_n, fn_n, tn_n)
 
     def dependent(self, cs: ChunkedSample) -> tuple[OutcomeCounts, int | None]:
-        if not cs.ref_chunks:
+        ids = cs.annotator_ids
+        if not ids:
             return self.independent(cs), None
         # one column per sequence: the hypothesis, then each reference
-        columns = list(zip(*cs.slot_records)) or [()] * (1 + len(cs.ref_chunks))
-        best_aid, best_counts, best_key = None, None, None
-        for (aid, _), refs in zip(cs.ref_chunks, columns[1:]):
-            counts = self._sum(cs, columns[0], refs)
-            key = (f_beta_formula(*precision_recall(counts), self.beta), counts.tp_w, -aid)
+        hyps, *columns = list(zip(*cs.slot_records)) or [()] * (1 + len(ids))
+        tp, fp, fn, both = self.tp, self.fp, self.fn, self.both
+        best_aid, best_refs, best_key = None, None, None
+        for aid, refs in zip(ids, columns):
+            # only the weighted TP, FP and FN of ``_sum``, added in its order
+            tp_w = fp_w = fn_w = 0.0
+            for hyp, ref in zip(hyps, refs):
+                if hyp:
+                    if ref & 1:
+                        tp_w += tp[hyp]
+                        continue
+                    fp_w += fp[hyp]
+                    if not both:
+                        continue
+                if ref > 1:
+                    fn_w += fn[ref >> 1]
+            f = f_beta_formula(_share(tp_w, fp_w), _share(tp_w, fn_w), self.beta)
+            key = (f, tp_w, -aid)
             if best_key is None or key > best_key:
-                best_aid, best_counts, best_key = aid, counts, key
-        return best_counts, best_aid
+                best_aid, best_refs, best_key = aid, refs, key
+        return self._sum(cs, hyps, best_refs), best_aid
 
     def independent(self, cs: ChunkedSample) -> OutcomeCounts:
         records = cs.slot_records

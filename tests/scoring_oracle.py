@@ -8,17 +8,16 @@ as it is found, so tests compare the record-based scorer with it exactly.
 import math
 from collections.abc import Sequence
 
+from partition_oracle import CORRECTED, Chunk, ChunkedSample, chunk_length
+
 from chunkeval import (
-    ChunkedSample,
     NoChunksError,
     OutcomeCounts,
     WeightConfig,
-    chunk_length,
     f_beta_formula,
     length_weight,
     precision_recall,
 )
-from chunkeval.chunker import CORRECTED, Chunk
 from chunkeval.scoring import FN_BOTH, FN_FP_ONLY
 
 

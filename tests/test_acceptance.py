@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 from conftest import random_case, random_ref_sets, random_tokens
+from partition_oracle import chunk_views
 from scoring_oracle import add
 
 from chunkeval import (
@@ -122,7 +123,7 @@ def test_criterion_2_length_weight_curves():
 
 def test_criterion_3_single_slot_partition():
     with criterion(3, "single-slot chunking of the three-token fragment"):
-        cs = partition(FIG_SRC, [], [(0, FIG_REF1), (1, FIG_REF2)])
+        cs = chunk_views(partition(FIG_SRC, [], [(0, FIG_REF1), (1, FIG_REF2)]))
         assert cs.boundary_spans == ((0, 3),)
         assert cs.changed_indices == (0,)
         segments = {aid: chunks[0].segment for aid, chunks in cs.ref_chunks}
@@ -179,7 +180,7 @@ def test_criterion_5_property_suite():
         # same-K, per-index span equality, and reconstruction
         for _ in range(N_CASES):
             source, hyp_edits, refs = random_case(rng)
-            cs = partition(source, hyp_edits, refs)
+            cs = chunk_views(partition(source, hyp_edits, refs))
             spans = list(cs.boundary_spans)
             sequences = [(cs.hyp_chunks, hyp_edits)] + [
                 (chunks, edits)

@@ -1,8 +1,11 @@
+import math
 import random
 
 import pytest
 import scipy.stats
+import partition_oracle
 from conftest import random_ref_sets, random_tokens
+from partition_oracle import CORRECTED, UNCHANGED, chunk_length, chunk_views
 
 from chunkeval import (
     AnnotatedSample,
@@ -12,6 +15,7 @@ from chunkeval import (
     ParseError,
     SystemMismatchError,
     TooFewAnnotatorsError,
+    apply_edits,
     boundary_stats,
     compute_ell,
     correlate,
@@ -147,10 +151,86 @@ class TestCorpusStats:
             for s in samples
         ]
         n_dummies = sum(
-            c.kind == "dummy" for cs in chunked for _, cks in cs.ref_chunks for c in cks
+            c.kind == "dummy"
+            for cs in chunked
+            for _, cks in chunk_views(cs).ref_chunks
+            for c in cks
         )
         assert n_dummies > 0
         assert corpus_stats(samples)["avg_changed_chunk_length"] == compute_ell(chunked)
+
+    def test_matches_chunk_based_oracle(self):
+        # repeat-heavy sources, 2-10 annotators, some of them with no edits
+        rng = random.Random(61)
+        no_edits = insertion_slots = 0
+        for _ in range(40):
+            samples = []
+            for _ in range(20):
+                source = random_tokens(rng, 1, 8)
+                annotations = {
+                    aid: () if rng.random() < 0.2 else tuple(edits)
+                    for aid, edits in random_ref_sets(rng, len(source), 2, 10)
+                }
+                samples.append(AnnotatedSample(source, annotations))
+            got = corpus_stats(samples)
+            assert got == corpus_stats_oracle(samples)
+            chunked = [
+                partition(s.source, (), [(aid, s.annotations[aid]) for aid in s.annotator_ids])
+                for s in samples
+            ]
+            assert got["avg_changed_chunk_length"] == compute_ell(chunked)
+            no_edits += sum(not es for s in samples for es in s.annotations.values())
+            insertion_slots += sum(
+                cs.boundary_spans[idx][0] == cs.boundary_spans[idx][1]
+                for cs in chunked
+                for idx in cs.changed_indices
+            )
+        assert no_edits > 100 and insertion_slots > 100
+
+
+def corpus_stats_oracle(samples):
+    """``corpus_stats`` as it was computed from one Chunk per chunk per reference."""
+    n_sentences = len(samples)
+    src_len = [len(s.source) for s in samples]
+    ref_len: list[int] = []
+    edit_len: list[int] = []
+    unchanged_len: list[int] = []
+    changed_len: list[int] = []
+    for sample in samples:
+        for aid in sample.annotator_ids:
+            ref_len.append(len(apply_edits(sample.source, sample.annotations[aid])))
+            edit_len.extend(len(e.replacement) for e in sample.annotations[aid])
+        cs = partition_oracle.partition(
+            sample.source,
+            (),
+            [(aid, sample.annotations[aid]) for aid in sample.annotator_ids],
+        )
+        # Dummy chunks (an insertion slot a reference did not use) count as neither.
+        for _, chunks in cs.ref_chunks:
+            for chunk in chunks:
+                if chunk.kind == UNCHANGED:
+                    unchanged_len.append(chunk_length(chunk))
+                elif chunk.kind == CORRECTED:
+                    changed_len.append(chunk_length(chunk))
+
+    def _mean(xs):
+        return math.fsum(xs) / len(xs) if xs else 0.0
+
+    n_chunks = len(unchanged_len) + len(changed_len)
+    return {
+        "sentences": n_sentences,
+        "avg_sentence_length": _mean(src_len),
+        "references": len(ref_len),
+        "avg_reference_length": _mean(ref_len),
+        "edits": len(edit_len),
+        "avg_edit_length": _mean(edit_len),
+        "unchanged_chunks": len(unchanged_len),
+        "unchanged_chunk_share": len(unchanged_len) / n_chunks if n_chunks else 0.0,
+        "avg_unchanged_chunk_length": _mean(unchanged_len),
+        "changed_chunks": len(changed_len),
+        "changed_chunk_share": len(changed_len) / n_chunks if n_chunks else 0.0,
+        "avg_changed_chunk_length": _mean(changed_len),
+    }
 
 
 class TestCorrelation:

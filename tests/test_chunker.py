@@ -1,16 +1,26 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import partition_oracle
+import pytest
 from conftest import random_case
+from partition_oracle import chunk_length, chunk_views
 
 from chunkeval import (
+    AnnotatedSample,
+    BoundsError,
     Edit,
+    OverlapError,
     apply_edits,
-    chunk_length,
     chunk_table,
     extract_edits,
     partition,
     tokenize,
 )
+from chunkeval import chunker
 from chunkeval.chunker import slot_spans
 
 FIG_SRC = ("the", "technologies", "were")
@@ -68,7 +78,7 @@ def mid_sample():
 
 class TestPartition:
     def test_touching_edits_merge_into_one_slot(self):
-        cs = fig_sample()
+        cs = chunk_views(fig_sample())
         assert cs.boundary_spans == ((0, 3),)
         assert cs.changed_indices == (0,)
         segments = {aid: chunks[0].segment for aid, chunks in cs.ref_chunks}
@@ -77,13 +87,14 @@ class TestPartition:
         assert cs.hyp_chunks[0].kind == "unchanged"
 
     def test_no_edits_single_unchanged_chunk(self):
-        cs = partition(("a", "b", "c"), [], [(0, [])])
+        cs = chunk_views(partition(("a", "b", "c"), [], [(0, [])]))
         assert cs.boundary_spans == ((0, 3),)
         assert cs.changed_indices == ()
         assert cs.hyp_chunks[0].kind == "unchanged"
 
     def test_single_insertion_three_chunks(self):
-        cs = partition(("a", "b", "c", "d"), [], [(0, [Edit(1, 1, ("x",))])])
+        refs = [(0, [Edit(1, 1, ("x",))])]
+        cs = chunk_views(partition(("a", "b", "c", "d"), [], refs))
         assert cs.boundary_spans == ((0, 1), (1, 1), (1, 4))
         assert cs.changed_indices == (1,)
         assert cs.ref_chunks[0][1][1].kind == "corrected"
@@ -110,8 +121,8 @@ class TestPartition:
     def test_granularities_agree_on_merged_sample(self):
         # one multi-token edit vs several one-token edits: same boundaries
         coarse = [Edit(0, 3, ("technologies", "have"))]
-        cs_fine = fig_sample()
-        cs_coarse = partition(FIG_SRC, [], [(0, coarse), (1, FIG_REF2)])
+        cs_fine = chunk_views(fig_sample())
+        cs_coarse = chunk_views(partition(FIG_SRC, [], [(0, coarse), (1, FIG_REF2)]))
         assert cs_fine.boundary_spans == cs_coarse.boundary_spans
         assert (
             cs_fine.ref_chunks[0][1][0].segment
@@ -119,7 +130,7 @@ class TestPartition:
         )
 
     def test_insertion_locus_is_dummy_for_non_inserting_sequences(self):
-        cs = mid_sample()
+        cs = chunk_views(mid_sample())
         assert cs.boundary_spans[1] == (1, 1)
         assert cs.hyp_chunks[1].kind == "dummy"
         by_aid = dict(cs.ref_chunks)
@@ -128,7 +139,7 @@ class TestPartition:
         assert by_aid[1][1].kind == "corrected"
 
     def test_deletion_chunk_is_corrected_with_empty_segment(self):
-        cs = partition(("a", "b", "c"), [], [(0, [Edit(1, 2, ())])])
+        cs = chunk_views(partition(("a", "b", "c"), [], [(0, [Edit(1, 2, ())])]))
         chunk = cs.ref_chunks[0][1][1]
         assert chunk.kind == "corrected"
         assert chunk.segment == ()
@@ -136,7 +147,7 @@ class TestPartition:
 
 class TestChangedSlots:
     def test_fig_sample_single_slot(self):
-        cs = fig_sample()
+        cs = chunk_views(fig_sample())
         assert len(cs.changed_indices) == 1
         idx = cs.changed_indices[0]
         assert cs.hyp_chunks[idx].kind != "corrected"
@@ -150,7 +161,8 @@ class TestChangedSlots:
     def test_top_sample_slots_at_display_chunks_2_4_6(self):
         cs = top_sample()
         assert len(cs.boundary_spans) == 7
-        assert [cs.hyp_chunks[i].index for i in cs.changed_indices] == [1, 3, 5]
+        hyp_chunks = chunk_views(cs).hyp_chunks
+        assert [hyp_chunks[i].index for i in cs.changed_indices] == [1, 3, 5]
         header = chunk_table(cs)[0]
         assert [h for h in header[1:] if h.endswith("*")] == [
             "chunk-2 *",
@@ -208,15 +220,16 @@ def test_partition_is_language_agnostic():
 
 class TestChunkLength:
     def test_unchanged_three_tokens(self):
-        cs = partition(("a", "b", "c"), [], [(0, [])])
+        cs = chunk_views(partition(("a", "b", "c"), [], [(0, [])]))
         assert chunk_length(cs.hyp_chunks[0]) == 3
 
     def test_corrected_span_longer_than_segment(self):
-        cs = partition(("a", "b", "c"), [], [(0, [Edit(0, 3, ("x", "y"))])])
+        refs = [(0, [Edit(0, 3, ("x", "y"))])]
+        cs = chunk_views(partition(("a", "b", "c"), [], refs))
         assert chunk_length(cs.ref_chunks[0][1][0]) == 3
 
     def test_dummy_and_insertion_lengths(self):
-        cs = partition(("a", "b"), [], [(0, [Edit(1, 1, ("x", "y"))])])
+        cs = chunk_views(partition(("a", "b"), [], [(0, [Edit(1, 1, ("x", "y"))])]))
         idx = cs.changed_indices[0]
         assert chunk_length(dict(cs.ref_chunks)[0][idx]) == 2
         assert chunk_length(cs.hyp_chunks[idx]) == 0
@@ -262,7 +275,7 @@ class TestPartitionProperties:
         rng = random.Random(37)
         for _ in range(300):
             source, hyp_edits, refs = random_case(rng)
-            cs = partition(source, hyp_edits, refs)
+            cs = chunk_views(partition(source, hyp_edits, refs))
             k = len(cs.boundary_spans)
             sequences = [cs.hyp_chunks] + [chunks for _, chunks in cs.ref_chunks]
             for chunks in sequences:
@@ -316,3 +329,95 @@ class TestPartitionProperties:
             untouched = set(range(len(source))) - covered
             if untouched and cs.changed_indices:
                 assert len(cs.boundary_spans) >= 2
+
+
+class TestMatchesPartitionOracle:
+    """The slot-first partition against the chunk-building one it replaced."""
+
+    def test_spans_chunks_and_records_are_identical(self):
+        rng = random.Random(67)
+        for _ in range(1000):
+            source, hyp_edits, refs = random_case(rng, min_refs=0, max_refs=10)
+            if refs and rng.random() < 0.3:  # make matching slots common
+                hyp_edits = list(rng.choice(refs)[1])
+            cs = partition(source, hyp_edits, refs)
+            want = partition_oracle.partition(source, hyp_edits, refs)
+            assert chunk_views(cs) == want
+            assert cs.slot_records == want.slot_records
+            assert cs.annotator_ids == tuple(aid for aid, _ in refs)
+            sequences = [want.hyp_chunks] + [chunks for _, chunks in want.ref_chunks]
+            assert cs.slot_segments == tuple(
+                tuple(chunks[idx].segment for idx in want.changed_indices)
+                for chunks in sequences
+            )
+
+
+BAD_EDITS = {
+    "out of bounds": ([Edit(2, 4, ("x",))], BoundsError),
+    "overlapping": ([Edit(0, 2, ("x",)), Edit(1, 3, ("y",))], OverlapError),
+    "two insertions at one point": (
+        [Edit(1, 1, ("x",)), Edit(1, 1, ("y",))],
+        OverlapError,
+    ),
+}
+
+
+class TestPartitionRejectsBadEdits:
+    SOURCE = ("a", "b", "c")
+
+    @pytest.mark.parametrize("case", BAD_EDITS)
+    def test_in_hypothesis(self, case):
+        edits, error = BAD_EDITS[case]
+        with pytest.raises(error):
+            partition(self.SOURCE, edits, [(0, [Edit(0, 1, ("q",))])])
+
+    @pytest.mark.parametrize("case", BAD_EDITS)
+    def test_in_reference(self, case):
+        edits, error = BAD_EDITS[case]
+        with pytest.raises(error):
+            partition(self.SOURCE, [], [(0, [Edit(0, 1, ("q",))]), (1, edits)])
+
+    def test_checked_edits_against_a_shorter_source(self):
+        # edits that a sample checked are checked again for their bounds only
+        sample = AnnotatedSample(self.SOURCE, {0: (Edit(2, 3, ("x",)),)})
+        edits = sample.annotations[0]
+        assert partition(self.SOURCE, edits, [(0, edits)]).changed_indices == (1,)
+        with pytest.raises(BoundsError):
+            partition(self.SOURCE[:2], edits, [])
+        with pytest.raises(BoundsError):
+            partition(self.SOURCE[:2], [], [(0, edits)])
+
+
+# slot layouts that a correct merge never gives: an edit ends past its slot,
+# or starts after the last one
+ESCAPING_SLOTS = [
+    (((0, 1), (1, 3)), (0,)),
+    (((0, 0), (0, 3)), (0,)),
+]
+
+
+class TestEscapedSlot:
+    @pytest.mark.parametrize("layout", ESCAPING_SLOTS)
+    def test_edit_escaping_its_slot_raises(self, monkeypatch, layout):
+        monkeypatch.setattr(chunker, "slot_spans", lambda n, edit_sets: layout)
+        with pytest.raises(AssertionError, match="escaped its merged slot"):
+            partition(("a", "b", "c"), [Edit(1, 2, ("x",))], [])
+
+    def test_raised_without_assert_statements(self):
+        # ``python -O`` strips assert statements; the check must still run
+        code = (
+            "from chunkeval import Edit, chunker\n"
+            f"chunker.slot_spans = lambda n, edit_sets: {ESCAPING_SLOTS[0]!r}\n"
+            "try:\n"
+            "    chunker.partition(('a', 'b', 'c'), [Edit(1, 2, ('x',))], [])\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(chunker.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout == "edit escaped its merged slot\n", done.stderr

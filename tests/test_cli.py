@@ -68,6 +68,20 @@ class TestExtract:
             "A 2 3|||UNK|||have|||REQUIRED|||-NONE-|||0\n\n"
         )
 
+    @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_lines_break_at_newline_only(self, tmp_path, capsys, char):
+        (tmp_path / "src.txt").write_text(f"a b c{char}d\n", encoding="utf-8")
+        (tmp_path / "tgt.txt").write_text(f"a x c{char}d\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, ["extract", str(tmp_path / "src.txt"), str(tmp_path / "tgt.txt")]
+        )
+        assert code == 0
+        (sample,) = parse_m2(out)
+        assert sample.source == tokenize(f"a b c{char}d")
+        assert [(e.start, e.end, e.replacement) for e in sample.annotations[0]] == [
+            (1, 2, ("x",))
+        ]
+
     def test_round_trip_reproduces_targets(self, tmp_path, capsys):
         src = "the technologies were\nx y z\na\n"
         tgt = "technologies have\nx q z w\n\n"
@@ -310,6 +324,7 @@ class TestEvaluate:
             ("--clip-tp", "inf,inf"),
             ("--clip-fn", "0.5,inf"),
             ("--beta", "1e200"),
+            ("--system", "x\ty"),
         ],
     )
     def test_bad_weight_values_are_rejected_where_parsed(
@@ -372,6 +387,20 @@ class TestEvaluate:
         )
         assert code == 3
         assert "elll" in err
+
+    @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_hypothesis_lines_break_at_newline_only(self, tmp_path, capsys, char):
+        ref = tmp_path / "ref.m2"
+        ref.write_text(
+            f"S a b c{char}d\nA 1 2|||R|||x|||REQUIRED|||-NONE-|||0\n",
+            encoding="utf-8",
+        )
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text(f"a x c{char}d\n", encoding="utf-8")
+        code, out, err = run(capsys, ["evaluate", str(hyp), str(ref)])
+        assert (code, err) == (0, "")
+        (row,) = report_rows(out)
+        assert (row["tp_n"], row["F_beta"]) == ("1", "1.0")
 
     def test_system_name_defaults_to_stem(self, data, capsys):
         _, out, _ = run(

@@ -18,6 +18,7 @@ from chunkeval import (
     parse_m2,
     tokenize,
 )
+from chunkeval.corpus import split_lines
 
 
 class TestTokenize:
@@ -251,6 +252,16 @@ class TestLoadParallel:
 
     def test_empty_target_line_allowed(self):
         assert load_parallel("a\n b \n", "a\n\n")[1] == (("b",), ())
+
+    @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_lines_break_at_newline_only(self, char):
+        # str.splitlines would also break at each of these
+        pairs = load_parallel(f"a b{char}c\r\nd\n", f"a x{char}c\nd\n")
+        assert pairs == [
+            (tokenize(f"a b{char}c"), tokenize(f"a x{char}c")),
+            (("d",), ("d",)),
+        ]
+        assert split_lines(f"a{char}b\n\nc\r\n") == [f"a{char}b", "", "c"]
 
 
 class TestDropUnchangedReferences:

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
+import partition_oracle
 import scoring_oracle
 from conftest import random_case
 
@@ -210,7 +211,12 @@ class TestIndependent:
 
 
 class TestMatchesSlotOracle:
-    """The record-based scorer against the per-slot scorer it replaced."""
+    """The record-based scorer against the per-slot scorer it replaced.
+
+    The per-slot scorer reads the chunks of the partition it was written
+    for, ``partition_oracle.partition``, so each side scores its own
+    partition of the same case.
+    """
 
     @staticmethod
     def bits(counts):
@@ -228,15 +234,17 @@ class TestMatchesSlotOracle:
     def test_counts_choice_and_ell_are_identical(self):
         rng = random.Random(89)
         for _ in range(40):
-            batch = []
+            batch, old_batch = [], []
             for _ in range(15):
                 source, hyp_edits, refs = random_case(rng, min_refs=0, max_refs=10)
                 if refs and rng.random() < 0.3:  # make TPs common
                     hyp_edits = list(rng.choice(refs)[1])
                 batch.append(partition(source, hyp_edits, refs))
-            for dataset in [batch] + [[cs] for cs in batch]:
+                old_batch.append(partition_oracle.partition(source, hyp_edits, refs))
+            singles = [([cs], [old]) for cs, old in zip(batch, old_batch)]
+            for dataset, old_dataset in [(batch, old_batch)] + singles:
                 assert self.ell_or_error(compute_ell, dataset) == self.ell_or_error(
-                    scoring_oracle.compute_ell, dataset
+                    scoring_oracle.compute_ell, old_dataset
                 )
             ell = self.ell_or_error(compute_ell, batch)
             ell = 1.0 if ell == "no chunks" else ell
@@ -247,35 +255,35 @@ class TestMatchesSlotOracle:
             heavy_tn = replace(profiles[0], clip_tn=(1.5, 1.5))  # profiles pin TN at 1
             for cfg in profiles + [unweighted(profiles[0]), heavy_tn]:
                 for mode in FN_MODES:
-                    for cs in batch:
+                    for cs, old in zip(batch, old_batch):
                         dep, aid = score_sentence_dependent(cs, cfg, mode)
                         want, want_aid = scoring_oracle.score_sentence_dependent(
-                            cs, cfg, mode
+                            old, cfg, mode
                         )
                         assert (self.bits(dep), aid) == (self.bits(want), want_aid)
                         ind = score_sentence_independent(cs, cfg, mode)
-                        want = scoring_oracle.score_sentence_independent(cs, cfg, mode)
+                        want = scoring_oracle.score_sentence_independent(old, cfg, mode)
                         assert self.bits(ind) == self.bits(want)
 
     def test_run_variant_sums_the_same_sentences(self):
         rng = random.Random(97)
-        batch = [
-            partition(*random_case(rng, min_refs=0, max_refs=10)) for _ in range(200)
-        ]
+        cases = [random_case(rng, min_refs=0, max_refs=10) for _ in range(200)]
+        batch = [partition(*case) for case in cases]
+        old_batch = [partition_oracle.partition(*case) for case in cases]
         cfg = replace(default_config("dep"), ell=compute_ell(batch))
         for variant in ("dep", "indep"):
             result = run_variant(batch, variant, cfg, "both")
             if variant == "dep":
                 pairs = [
-                    scoring_oracle.score_sentence_dependent(cs, cfg, "both")
-                    for cs in batch
+                    scoring_oracle.score_sentence_dependent(old, cfg, "both")
+                    for old in old_batch
                 ]
                 assert result.chosen_refs == tuple(aid for _, aid in pairs)
                 want = [counts for counts, _ in pairs]
             else:
                 want = [
-                    scoring_oracle.score_sentence_independent(cs, cfg, "both")
-                    for cs in batch
+                    scoring_oracle.score_sentence_independent(old, cfg, "both")
+                    for old in old_batch
                 ]
             assert self.bits(result.counts) == self.bits(sum_counts(want))
 
