@@ -10,8 +10,8 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .chunker import partition, slot_spans
-from .corpus import AnnotatedSample
+from .chunker import _splice_slots, slot_spans
+from .corpus import AnnotatedSample, split_lines
 from .errors import (
     DegenerateError,
     NoChunksError,
@@ -34,17 +34,38 @@ class BoundaryStats:
     edits_total: int
 
 
-def _classify_edit(edit, slots, unchanged) -> str:
-    # Closed-interval containment; slots take precedence so a point edit on
-    # a slot boundary counts as in-chunk.
-    s, e = edit.start, edit.end
-    for a, b in slots:
-        if a <= s and e <= b:
-            return "icc"
-    for a, b in unchanged:
-        if a <= s and e <= b:
-            return "iuc"
-    return "cc"
+def _hold_out(intervals: list[tuple[int, int, int]], held_out: int, edits) -> list[int]:
+    """ICC, IUC and CC counts of one annotator's edits against all the others'.
+
+    ``intervals`` holds every annotator's sorted (start, end, id). The others'
+    closed intervals that overlap or touch merge into slots, which take
+    precedence: a point edit on a slot boundary counts as in-chunk.
+    """
+    starts, ends, end = [], [], -1
+    for s, e, aid in intervals:
+        if aid != held_out and e > end:
+            if s > end:
+                starts.append(s)
+                ends.append(e)
+            else:
+                ends[-1] = e
+            end = e
+    starts.append(math.inf)  # a sentinel slot after the source end
+    ends.append(math.inf)
+    counts = [0, 0, 0]
+    j = 0
+    for edit in edits:  # sorted and disjoint, so the slot pointer only moves on
+        s, e = edit.start, edit.end
+        while ends[j] < s:
+            j += 1
+        if starts[j] <= s and e <= ends[j]:
+            counts[0] += 1
+        # in the unchanged chunk before slot j, or in the one after it
+        elif e <= starts[j] or s == ends[j] and e <= starts[j + 1]:
+            counts[1] += 1
+        else:
+            counts[2] += 1
+    return counts
 
 
 def boundary_stats(
@@ -56,7 +77,7 @@ def boundary_stats(
     passes instead of pooled over all held-out edits; the raw tallies are
     pooled either way.
     """
-    counts = {"icc": 0, "iuc": 0, "cc": 0}
+    counts = [0, 0, 0]
     pass_ratios: list[tuple[float, float, float]] = []
     for i, sample in enumerate(samples):
         ids = sample.annotator_ids
@@ -64,37 +85,23 @@ def boundary_stats(
             raise TooFewAnnotatorsError(
                 f"sample {i} has {len(ids)} annotator(s); need at least 2"
             )
+        intervals = sorted(
+            (e.start, e.end, aid) for aid in ids for e in sample.annotations[aid]
+        )
         for held_out in ids:
-            spans, changed = slot_spans(
-                len(sample.source),
-                [sample.annotations[aid] for aid in ids if aid != held_out],
-            )
-            slots = [spans[k] for k in changed]
-            unchanged = [span for k, span in enumerate(spans) if k not in changed]
-            local = {"icc": 0, "iuc": 0, "cc": 0}
-            for edit in sample.annotations[held_out]:
-                local[_classify_edit(edit, slots, unchanged)] += 1
-            for key, value in local.items():
-                counts[key] += value
-            m = sum(local.values())
+            local = _hold_out(intervals, held_out, sample.annotations[held_out])
+            counts = [c + x for c, x in zip(counts, local)]
+            m = sum(local)
             if m:
-                pass_ratios.append(
-                    (local["icc"] / m, local["iuc"] / m, local["cc"] / m)
-                )
-    total = counts["icc"] + counts["iuc"] + counts["cc"]
+                pass_ratios.append(tuple(c / m for c in local))
+    total = sum(counts)
     if total == 0:
         raise NoChunksError("no held-out edits; boundary ratios are undefined")
     if per_pass_mean:
-        icc = math.fsum(r[0] for r in pass_ratios) / len(pass_ratios)
-        iuc = math.fsum(r[1] for r in pass_ratios) / len(pass_ratios)
-        cc = math.fsum(r[2] for r in pass_ratios) / len(pass_ratios)
+        ratios = [math.fsum(r[k] for r in pass_ratios) / len(pass_ratios) for k in range(3)]
     else:
-        icc = counts["icc"] / total
-        iuc = counts["iuc"] / total
-        cc = counts["cc"] / total
-    return BoundaryStats(
-        icc, iuc, cc, counts["icc"], counts["iuc"], counts["cc"], total
-    )
+        ratios = [c / total for c in counts]
+    return BoundaryStats(*ratios, *counts, total)
 
 
 def corpus_stats(samples: Sequence[AnnotatedSample]) -> dict:
@@ -106,26 +113,34 @@ def corpus_stats(samples: Sequence[AnnotatedSample]) -> dict:
     unchanged_len: list[int] = []
     changed_len: list[int] = []
     for sample in samples:
-        refs = [(aid, sample.annotations[aid]) for aid in sample.annotator_ids]
-        for _, edits in refs:
-            growth = sum(len(e.replacement) - (e.end - e.start) for e in edits)
-            ref_len.append(len(sample.source) + growth)
-            edit_len.extend(len(e.replacement) for e in edits)
-        cs = partition(sample.source, (), refs)
+        source, n = sample.source, len(sample.source)
+        refs = [sample.annotations[aid] for aid in sample.annotator_ids]
+        spans, changed = slot_spans(n, refs)
+        slots = [spans[k] for k in changed]
         # Every reference has every unchanged span; it changed a slot where
         # its segment differs from the source span. Dummy chunks (an
         # insertion slot a reference did not use) count as neither.
-        spans, slots = cs.boundary_spans, cs.changed_indices
-        unchanged = [b - a for k, (a, b) in enumerate(spans) if k not in slots]
-        unchanged_len += unchanged * len(refs)
-        for idx, segments in zip(slots, zip(*cs.slot_segments[1:])):
-            a, b = spans[idx]
-            kept = sample.source[a:b]
-            for segment in segments:
-                if segment != kept:
-                    changed_len.append(max(b - a, len(segment)))
+        unchanged_len += [b - a for k, (a, b) in enumerate(spans) if k not in changed] * len(refs)
+        for edits in refs:
+            growth = [len(e.replacement) - (e.end - e.start) for e in edits]
+            ref_len.append(n + sum(growth))
+            edit_len += [len(e.replacement) for e in edits]
+            i = 0
+            for a, b in slots:
+                j = i
+                while j < len(edits) and edits[j].start <= b:
+                    j += 1
+                length = b - a + sum(growth[i:j])
+                # an equal length may still be a reordering, or a no-op edit
+                if length != b - a or i < j and (
+                    edits[i].replacement != source[edits[i].start : edits[i].end]
+                    if j == i + 1
+                    else _splice_slots(source, edits[i:j], [(a, b, ())]) != (source[a:b],)
+                ):
+                    changed_len.append(max(b - a, length))
                 elif a < b:
                     unchanged_len.append(b - a)
+                i = j
 
     def _mean(xs):
         return math.fsum(xs) / len(xs) if xs else 0.0
@@ -225,7 +240,7 @@ def correlate(
 
 def load_human_table(text: str) -> HumanTable:
     """Parse a TSV of ``system<TAB>score`` rows below that exact header."""
-    lines = text.splitlines()
+    lines = split_lines(text)
     if not lines or [c.strip() for c in lines[0].split("\t")] != ["system", "score"]:
         raise ParseError("expected header 'system<TAB>score'", 1)
     scores: dict[str, float] = {}
@@ -261,7 +276,7 @@ def load_metric_scores(text: str, variant: str | None = None) -> dict[str, float
     """
     lines = [
         (lineno, line)
-        for lineno, line in enumerate(text.splitlines(), 1)
+        for lineno, line in enumerate(split_lines(text), 1)
         if line.strip() and not line.startswith("#")
     ]
     if not lines:

@@ -260,7 +260,7 @@ def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
         if a.option_strings and a.dest not in ("help", "config")
     }
     values: dict = {}
-    for lineno, raw in enumerate(_read(path).splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(_read(path)), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -284,18 +284,22 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     # Defaults must land on the subcommand's parser: subparsers parse into
     # a fresh namespace, so defaults set on the top-level parser would be
     # shadowed.
-    probe = parser.parse_args(argv)
-    if not probe.config:
-        return probe
-    config = _load_config_file(probe.config, commands[probe.command])
-    # an appending flag would add to a default list, not replace it
-    lists = [key for key, value in config.items() if isinstance(value, list)]
-    appended = {key: config.pop(key) for key in lists}
-    commands[probe.command].set_defaults(**config)
-    args = parser.parse_args(argv)
-    for key, values in appended.items():
-        if getattr(args, key) is None and values:
-            setattr(args, key, values)
+    probe = args = parser.parse_args(argv)
+    if probe.config:
+        config = _load_config_file(probe.config, commands[probe.command])
+        # an appending flag would add to a default list, not replace it
+        lists = [key for key, value in config.items() if isinstance(value, list)]
+        appended = {key: config.pop(key) for key in lists}
+        commands[probe.command].set_defaults(**config)
+        args = parser.parse_args(argv)
+        for key, values in appended.items():
+            if getattr(args, key) is None and values:
+                setattr(args, key, values)
+    if args.command == "evaluate" and not args.system:
+        try:  # the default name, the hypothesis file's stem, is checked the same way
+            args.system = _system_name(Path(args.hyp).stem)
+        except argparse.ArgumentTypeError as exc:
+            commands["evaluate"].error(f"hypothesis file stem: {exc}; name the system with --system")
     return args
 
 
@@ -466,9 +470,8 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     chunked = _load_chunked(args)
     configs, meta = _resolve_configs(args, chunked)
-    system = args.system or Path(args.hyp).stem
     rows = [
-        run_variant(chunked, variant, cfg, args.fn_on_mismatch).as_row(system)
+        run_variant(chunked, variant, cfg, args.fn_on_mismatch).as_row(args.system)
         for variant, cfg in configs.items()
     ]
     _write_out(args, _format_report(rows, meta, args.format))

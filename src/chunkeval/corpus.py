@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BoundsError,
+    DataError,
     EmptySourceError,
     LengthMismatchError,
     OverlapError,
@@ -26,6 +27,8 @@ from .errors import (
 TokenSeq = tuple[str, ...]
 
 _ASCII_WS = re.compile(r"[ \t\r\n\f\v]+")
+# the only ASCII characters that str.split breaks at and _ASCII_WS does not
+_SPLIT_ONLY = re.compile("[\x1c-\x1f]")
 
 NOOP_TYPE = "noop"
 UNKNOWN_TYPE = "UNK"
@@ -34,10 +37,12 @@ _NONE_FIELD = "-NONE-"
 
 def tokenize(text: str) -> TokenSeq:
     """Split on runs of ASCII whitespace; empty input gives an empty tuple."""
+    if text.isascii() and not _SPLIT_ONLY.search(text):
+        return tuple(text.split())
     return tuple(t for t in _ASCII_WS.split(text) if t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edit:
     """Replacement of the source span [start, end) by ``replacement``.
 
@@ -62,6 +67,12 @@ class Edit:
             raise ValueError(f"negative annotator id {self.annotator_id}")
 
 
+# Slot setters that build a checked Edit without running its __post_init__.
+_set_start, _set_end, _set_replacement, _set_type_label, _set_annotator_id = (
+    getattr(Edit, name).__set__ for name in Edit.__slots__
+)
+
+
 class _CheckedEdits(tuple):
     """Edits that ``check_edits`` sorted and found disjoint, so ends ascend."""
 
@@ -71,25 +82,29 @@ class _CheckedEdits(tuple):
 def check_edits(edits: Iterable[Edit], source_len: int) -> tuple[Edit, ...]:
     """Sort edits by (start, end) and verify bounds and non-overlap.
 
-    Of edits that it returned before, only the last end is checked again.
+    Edits already in order and disjoint are checked in one pass. Of edits
+    that it returned before, only the last end is checked again.
     """
     checked = type(edits) is _CheckedEdits
-    ordered = edits if checked else tuple(sorted(edits, key=lambda e: (e.start, e.end)))
-    for e in ordered[-1:] if checked else ordered:
-        if e.end > source_len:
-            raise BoundsError(
-                f"edit [{e.start}, {e.end}) exceeds source length {source_len}"
-            )
-    if checked:
-        return ordered
-    for a, b in zip(ordered, ordered[1:]):
+    ordered = edits if checked else tuple(edits)
+    # a bad pair overlaps, is out of order, or is two insertions at one point
+    disjoint = checked or len(ordered) < 2 or not any(
+        a.end > b.start or a.start == b.end for a, b in zip(ordered, ordered[1:])
+    )
+    if not disjoint:
+        ordered = tuple(sorted(ordered, key=lambda e: (e.start, e.end)))
+    # the ends of disjoint edits ascend, so the last end is the largest
+    if ordered and (ordered[-1].end if disjoint else max(e.end for e in ordered)) > source_len:
+        e = next(e for e in ordered if e.end > source_len)
+        raise BoundsError(f"edit [{e.start}, {e.end}) exceeds source length {source_len}")
+    for a, b in () if disjoint else zip(ordered, ordered[1:]):
         if a.end > b.start:
             raise OverlapError(
                 f"edits [{a.start}, {a.end}) and [{b.start}, {b.end}) overlap"
             )
         if a.start == a.end == b.start == b.end:
             raise OverlapError(f"two insertions at position {a.start}")
-    return _CheckedEdits(ordered) if ordered else ()
+    return ordered if checked or not ordered else _CheckedEdits(ordered)
 
 
 @dataclass(frozen=True)
@@ -154,76 +169,69 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
         source, edits, noop_ids = None, {}, set()
 
     for lineno, line in enumerate(split_lines(text), 1):
-        if not line.strip():
+        if not line or line.isspace():
             flush()
-            continue
-        if line.startswith("S ") or line == "S":
+        elif line.startswith("S ") or line == "S":
             if source is not None:
                 raise ParseError("second 'S' line inside one record", lineno)
             source = tokenize(line[2:])
             block_line = lineno
             if not source:
                 raise ParseError("empty source sentence", lineno)
-        elif line.startswith("A "):
-            if source is None:
-                raise ParseError("'A' line before any 'S' line", lineno)
-            _parse_a_line(line, lineno, len(source), edits, noop_ids)
-        else:
+        elif not line.startswith("A "):
             raise ParseError(f"unrecognized line: {line[:40]!r}", lineno)
+        elif source is None:
+            raise ParseError("'A' line before any 'S' line", lineno)
+        else:
+            fields = line[2:].split("|||")
+            if len(fields) < 6:
+                raise ParseError(f"expected 6 '|||' fields, got {len(fields)}", lineno)
+            span = fields[0].split()
+            if len(span) != 2:
+                raise ParseError(f"bad span field {fields[0]!r}", lineno)
+            try:
+                start, end = int(span[0]), int(span[1])
+                annotator = int(fields[5])
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from exc
+            if annotator < 0:
+                raise ParseError(f"negative annotator id {annotator}", lineno)
+            type_label = fields[1]
+            if type_label == NOOP_TYPE:
+                if (start, end) != (-1, -1):
+                    raise ParseError("noop record must use span -1 -1", lineno)
+                noop_ids.add(annotator)
+                continue
+            if start == -1 or end == -1:
+                raise ParseError("span -1 -1 is reserved for noop records", lineno)
+            if not 0 <= start <= end <= len(source):
+                raise ParseError(
+                    f"edit [{start}, {end}) outside source of length {len(source)}", lineno
+                )
+            # a literally empty replacement field is tolerated as a deletion
+            replacement = () if fields[2] == _NONE_FIELD else tokenize(fields[2])
+            if start == end and not replacement:
+                raise ParseError("insertion with empty replacement", lineno)
+            # every field is checked above, so Edit.__post_init__ is not run
+            edit = object.__new__(Edit)
+            _set_start(edit, start)
+            _set_end(edit, end)
+            _set_replacement(edit, replacement)
+            _set_type_label(edit, type_label)
+            _set_annotator_id(edit, annotator)
+            edits.setdefault(annotator, []).append(edit)
     flush()
     return samples
 
 
-def _parse_a_line(
-    line: str,
-    lineno: int,
-    source_len: int,
-    edits: dict[int, list[Edit]],
-    noop_ids: set[int],
-) -> None:
-    fields = line[2:].split("|||")
-    if len(fields) < 6:
-        raise ParseError(f"expected 6 '|||' fields, got {len(fields)}", lineno)
-    span = fields[0].split()
-    if len(span) != 2:
-        raise ParseError(f"bad span field {fields[0]!r}", lineno)
-    try:
-        start, end = int(span[0]), int(span[1])
-        annotator = int(fields[5])
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno) from exc
-    if annotator < 0:
-        raise ParseError(f"negative annotator id {annotator}", lineno)
-    type_label = fields[1]
-    if type_label == NOOP_TYPE:
-        if (start, end) != (-1, -1):
-            raise ParseError("noop record must use span -1 -1", lineno)
-        noop_ids.add(annotator)
-        return
-    if start == -1 or end == -1:
-        raise ParseError("span -1 -1 is reserved for noop records", lineno)
-    if not 0 <= start <= end <= source_len:
-        raise ParseError(
-            f"edit [{start}, {end}) outside source of length {source_len}", lineno
-        )
-    # a literally empty replacement field is tolerated as a deletion
-    replacement = () if fields[2] == _NONE_FIELD else tokenize(fields[2])
-    if start == end and not replacement:
-        raise ParseError("insertion with empty replacement", lineno)
-    # every field is checked above, so Edit.__post_init__ is not run again
-    edit, set_field = object.__new__(Edit), object.__setattr__
-    set_field(edit, "start", start)
-    set_field(edit, "end", end)
-    set_field(edit, "replacement", replacement)
-    set_field(edit, "type_label", type_label)
-    set_field(edit, "annotator_id", annotator)
-    edits.setdefault(annotator, []).append(edit)
-
-
 def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
-    """Serialize samples canonically: annotators ascending, edits sorted."""
+    """Serialize samples canonically: annotators ascending, edits sorted.
+
+    A replacement of the one token ``-NONE-``, and a token or type label
+    holding ``|||``, cannot be written: they raise DataError.
+    """
     blocks: list[str] = []
-    for sample in samples:
+    for number, sample in enumerate(samples, 1):
         lines = ["S " + " ".join(sample.source)]
         for aid in sample.annotator_ids:
             annots = sample.annotations[aid]
@@ -235,6 +243,9 @@ def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
             for e in annots:
                 repl = " ".join(e.replacement) if e.replacement else _NONE_FIELD
                 label = e.type_label if e.type_label is not None else UNKNOWN_TYPE
+                if "|||" in repl + label or e.replacement == (_NONE_FIELD,):
+                    token = next((t for t in (*e.replacement, label) if "|||" in t), repl)
+                    raise DataError(f"sample {number}: cannot write {token!r} to M2")
                 lines.append(
                     f"A {e.start} {e.end}|||{label}|||{repl}|||REQUIRED|||{_NONE_FIELD}|||{aid}"
                 )

@@ -1,6 +1,7 @@
 import math
 import random
 
+import boundary_oracle
 import pytest
 import scipy.stats
 import partition_oracle
@@ -12,6 +13,7 @@ from chunkeval import (
     DegenerateError,
     Edit,
     HumanTable,
+    NoChunksError,
     ParseError,
     SystemMismatchError,
     TooFewAnnotatorsError,
@@ -27,6 +29,7 @@ from chunkeval import (
     spearman,
 )
 from chunkeval.analysis import _ranks
+from chunkeval.chunker import slot_spans
 
 
 def sample_of(source, *edit_sets):
@@ -114,6 +117,45 @@ class TestBoundaryStats:
         )
         stats = boundary_stats([sample], per_pass_mean=True)
         assert stats.icc + stats.iuc + stats.cc == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_matches_per_pass_oracle(self):
+        # repeat-heavy short sources, 2-10 annotators, some of them with no
+        # edits, so point edits often sit on a slot boundary or the source end
+        rng = random.Random(67)
+        no_edits = on_boundary = at_source_end = 0
+        for _ in range(60):
+            samples = []
+            for _ in range(20):
+                source = random_tokens(rng, 1, 6)
+                annotations = {
+                    aid: () if rng.random() < 0.2 else tuple(edits)
+                    for aid, edits in random_ref_sets(rng, len(source), 2, 10)
+                }
+                samples.append(AnnotatedSample(source, annotations))
+            for per_pass_mean in (False, True):
+                assert boundary_stats(samples, per_pass_mean) == (
+                    boundary_oracle.boundary_stats(samples, per_pass_mean)
+                )
+            for s in samples:
+                no_edits += sum(not es for es in s.annotations.values())
+                for held_out in s.annotator_ids:
+                    spans, changed = slot_spans(
+                        len(s.source),
+                        [s.annotations[aid] for aid in s.annotator_ids if aid != held_out],
+                    )
+                    ends = {x for k in changed for x in spans[k]}
+                    for e in s.annotations[held_out]:
+                        on_boundary += e.start == e.end and e.start in ends
+                        at_source_end += e.start == len(s.source)
+        assert no_edits > 1000 and on_boundary > 1000 and at_source_end > 1000
+
+    def test_no_held_out_edits(self):
+        samples = [sample_of("a b", [], [])]
+        with pytest.raises(NoChunksError):
+            boundary_stats(samples)
+        with pytest.raises(NoChunksError):
+            boundary_oracle.boundary_stats(samples)
 
 
 class TestCorpusStats:

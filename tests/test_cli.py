@@ -82,6 +82,19 @@ class TestExtract:
             (1, 2, ("x",))
         ]
 
+    @pytest.mark.parametrize("token", ["-NONE-", "x|||q"])
+    def test_target_token_m2_cannot_hold_is_data_error(self, tmp_path, capsys, token):
+        (tmp_path / "src.txt").write_text("a b\nc d\n", encoding="utf-8")
+        (tmp_path / "tgt.txt").write_text(f"a b\n{token} d\n", encoding="utf-8")
+        out_path = tmp_path / "out.m2"
+        code, out, err = run(
+            capsys,
+            ["extract", str(tmp_path / "src.txt"), str(tmp_path / "tgt.txt"), "-o", str(out_path)],
+        )
+        assert (code, out) == (3, "")
+        assert f"sample 2: cannot write {token!r} to M2" in err
+        assert not out_path.exists()
+
     def test_round_trip_reproduces_targets(self, tmp_path, capsys):
         src = "the technologies were\nx y z\na\n"
         tgt = "technologies have\nx q z w\n\n"
@@ -408,6 +421,32 @@ class TestEvaluate:
         )
         assert report_rows(out)[0]["system"] == "ref0-as-hyp"
 
+    def test_bad_default_system_name_is_usage_error(self, data, tmp_path, capsys):
+        hyp = tmp_path / "sys\tone.txt"
+        hyp.write_text(HYP_REF0, encoding="utf-8")
+        argv = ["evaluate", str(hyp), str(data / "ref.m2")]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "hypothesis file stem" in message and "--system" in message
+        code, out, _ = run(capsys, argv + ["--system", "sys-one"])
+        assert code == 0
+        assert report_rows(out)[0]["system"] == "sys-one"
+
+    @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_config_lines_break_at_newline_only(self, data, tmp_path, capsys, char):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"system=sys{char}one\r\nvariant=indep\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            ["evaluate", str(data / "ref0-as-hyp.txt"), str(data / "ref.m2"), "--config", str(cfg)],
+        )
+        assert (code, err) == (0, "")
+        header, row = out.split("\n")[-3:-1]
+        cells = dict(zip(header.split("\t"), row.split("\t")))
+        assert (cells["system"], cells["variant"]) == (f"sys{char}one", "indep")
+
     def test_all_variants_run(self, data, capsys):
         argv = ["evaluate", str(data / "ref0-as-hyp.txt"), str(data / "ref.m2")]
         for variant in (
@@ -599,6 +638,28 @@ class TestCorrelate:
         assert lines[0] == "pearson\t1.0000"
         assert lines[1] == "spearman\t1.0000"
         assert lines[3] == "system\tmetric\thuman"
+
+    @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_tables_break_at_newline_only(self, tmp_path, capsys, char):
+        names = [f"sys{char}one", "s2", "s3"]
+        (tmp_path / "metric.tsv").write_text(
+            "# ell: 2.0\nsystem\tF_beta\tvariant\n"
+            + "".join(f"{n}\t{v}\tdep\n" for n, v in zip(names, (0.1, 0.2, 0.4))),
+            encoding="utf-8",
+        )
+        (tmp_path / "human.tsv").write_text(
+            "system\tscore\r\n"
+            + "".join(f"{n}\t{v}\r\n" for n, v in zip(names, (1.0, 2.0, 4.0))),
+            encoding="utf-8",
+        )
+        code, out, err = run(
+            capsys,
+            ["correlate", str(tmp_path / "metric.tsv"), str(tmp_path / "human.tsv")],
+        )
+        assert (code, err) == (0, "")
+        lines = out.split("\n")
+        assert lines[:2] == ["pearson\t1.0000", "spearman\t1.0000"]
+        assert f"sys{char}one\t0.1\t1.0" in lines
 
     def test_report_input(self, data, tmp_path, capsys):
         reports = []

@@ -1,11 +1,14 @@
 import random
+import re
+import sys
 
 import pytest
-from conftest import random_ref_sets, random_tokens
+from conftest import VOCAB, random_edit_set, random_ref_sets, random_tokens
 
 from chunkeval import (
     AnnotatedSample,
     BoundsError,
+    DataError,
     Edit,
     EmptySourceError,
     LengthMismatchError,
@@ -18,7 +21,9 @@ from chunkeval import (
     parse_m2,
     tokenize,
 )
-from chunkeval.corpus import split_lines
+from chunkeval.corpus import check_edits, split_lines
+
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
 
 
 class TestTokenize:
@@ -36,6 +41,74 @@ class TestTokenize:
         for _ in range(200):
             tokens = random_tokens(rng, 0, 10)
             assert tokenize(" ".join(tokens)) == tokens
+
+
+    def test_matches_regex_split_over_every_whitespace_character(self):
+        # ASCII text takes the str.split path unless it holds \x1c-\x1f
+        ascii_pieces = [c for c in WHITESPACE if c.isascii()] + VOCAB
+        all_pieces = WHITESPACE + VOCAB + ["é", "今", "-NONE-"]
+        rng = random.Random(71)
+        for _ in range(20000):
+            pieces = ascii_pieces if rng.random() < 0.5 else all_pieces
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+            expected = tuple(t for t in re.split(r"[ \t\r\n\f\v]+", text) if t)
+            assert tokenize(text) == expected
+
+
+def check_edits_sort_first(edits, source_len):
+    """``check_edits`` as it was: sort, then check every bound, then every pair."""
+    ordered = tuple(sorted(edits, key=lambda e: (e.start, e.end)))
+    for e in ordered:
+        if e.end > source_len:
+            raise BoundsError(
+                f"edit [{e.start}, {e.end}) exceeds source length {source_len}"
+            )
+    for a, b in zip(ordered, ordered[1:]):
+        if a.end > b.start:
+            raise OverlapError(
+                f"edits [{a.start}, {a.end}) and [{b.start}, {b.end}) overlap"
+            )
+        if a.start == a.end == b.start == b.end:
+            raise OverlapError(f"two insertions at position {a.start}")
+    return ordered
+
+
+def outcome(check, edits, source_len):
+    try:
+        return "ok", check(edits, source_len)
+    except (BoundsError, OverlapError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCheckEdits:
+    def test_matches_sort_first_form(self):
+        # ordered, shuffled, overlapping, out-of-range and doubly bad inputs
+        rng = random.Random(73)
+        seen = {"ok": 0, "shuffled": 0, "bounds": 0, "overlap": 0, "both": 0}
+        for _ in range(4000):
+            n = rng.randint(1, 8)
+            edits = random_edit_set(rng, n, max_edits=4)
+            if rng.random() < 0.4:
+                edits += random_edit_set(rng, n, max_edits=2)
+            if rng.random() < 0.5:
+                rng.shuffle(edits)
+            source_len = n if rng.random() < 0.6 else rng.randint(0, n - 1)
+            expected = outcome(check_edits_sort_first, edits, source_len)
+            assert outcome(check_edits, edits, source_len) == expected
+            if expected[0] is BoundsError:
+                overlaps = outcome(check_edits_sort_first, edits, n)[0] is OverlapError
+                seen["both" if overlaps else "bounds"] += 1
+            elif expected[0] is OverlapError:
+                seen["overlap"] += 1
+            else:
+                seen["shuffled" if list(expected[1]) != edits else "ok"] += 1
+        assert min(seen.values()) > 200, seen
+
+    def test_checked_edits_are_returned_as_they_are(self):
+        edits = check_edits([Edit(2, 3, ("x",)), Edit(0, 0, ("y",))], 3)
+        assert check_edits(edits, 3) is edits
+        with pytest.raises(BoundsError, match=r"edit \[2, 3\) exceeds source length 2"):
+            check_edits(edits, 2)
 
 
 class TestApplyEdits:
@@ -230,6 +303,24 @@ class TestEmitM2:
             }
             sample = AnnotatedSample(source, annotations)
             assert parse_m2(emit_m2([sample])) == [sample]
+
+    @pytest.mark.parametrize(
+        "replacement, label, named",
+        [
+            (("-NONE-",), "R", "'-NONE-'"),
+            (("x|||q",), "R", "'x|||q'"),
+            (("a", "b|||"), "R", "'b|||'"),
+            (("x",), "R|||M", "'R|||M'"),
+        ],
+        ids=["none-token", "bar-token", "second-token", "bar-label"],
+    )
+    def test_edits_that_read_back_wrong_are_data_errors(self, replacement, label, named):
+        fine = AnnotatedSample(("a",), {0: (Edit(0, 1, ("-NONE-", "x"), "R"),)})
+        bad = AnnotatedSample(("a", "b"), {0: (), 3: (Edit(0, 1, replacement, label, 3),)})
+        with pytest.raises(DataError) as err:
+            emit_m2([fine, bad])
+        assert str(err.value) == f"sample 2: cannot write {named} to M2"
+        assert parse_m2(emit_m2([fine])) == [fine]
 
 
 class TestLoadParallel:
