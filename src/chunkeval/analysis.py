@@ -19,6 +19,7 @@ from .errors import (
     SystemMismatchError,
     TooFewAnnotatorsError,
 )
+from .scoring import headline_column
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ def boundary_stats(
         ids = sample.annotator_ids
         if len(ids) < 2:
             raise TooFewAnnotatorsError(
-                f"sample {i} has {len(ids)} annotator(s); need at least 2"
+                f"sample {i + 1} has {len(ids)} annotator(s); need at least 2"
             )
         intervals = sorted(
             (e.start, e.end, aid) for aid in ids for e in sample.annotations[aid]
@@ -271,8 +272,8 @@ def load_metric_scores(text: str, variant: str | None = None) -> dict[str, float
     """Read system scores from a score report (or a plain system/score TSV).
 
     Report rows are keyed by their variant column; when the report holds
-    several variants, ``variant`` selects one. Accuracy variants contribute
-    their Acc column, the others their F_beta column.
+    several variants, ``variant`` selects one, and ``headline_column`` names
+    the column it contributes.
     """
     lines = [
         (lineno, line)
@@ -313,7 +314,7 @@ def load_metric_scores(text: str, variant: str | None = None) -> dict[str, float
         raise ParseError(
             f"variant {variant!r} not present; report has {variants}", head_line
         )
-    column = "Acc" if variant.endswith("-acc") else "F_beta"
+    column = headline_column(variant)
     if column not in idx:
         raise ParseError(f"report has no {column!r} column", head_line)
     scores: dict[str, float] = {}

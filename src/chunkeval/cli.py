@@ -6,7 +6,6 @@ stderr, data to stdout (or to the file given with -o).
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,48 +33,39 @@ from .errors import DataError, LengthMismatchError, NoChunksError
 from .scoring import (
     FN_FP_ONLY,
     FN_MODES,
+    REPORT_COLUMNS,
     VARIANTS,
+    check_weight_field,
     compute_ell,
     default_config,
     run_variant,
     unweighted,
 )
 
-# The columns of a score report: the keys of VariantResult.as_row, in order.
-REPORT_COLUMNS = tuple(
-    "system tp_w fp_w fn_w tn_w tp_n fp_n fn_n tn_n P R F_beta Acc variant".split()
-)
+# The WeightConfig fields that evaluate's flags override, with their help.
+_WEIGHT_FLAGS = {
+    **{f"alpha_{o}": f"{o.upper()} scale factor override" for o in ("tp", "fp", "fn")},
+    **{f"clip_{o}": f"{o.upper()} weight clip bounds override" for o in ("tp", "fp", "fn")},
+    "ell": "average chunk length (default: computed)",
+    "beta": "F-score beta (default: 0.5)",
+}
 
 
-def _finite_above(low: float):
-    """Argparse type for a finite number greater than ``low``."""
+def _weight_type(name: str):
+    """Argparse type for WeightConfig field ``name``: a number, or MIN,MAX for a clip."""
+    pair = name.startswith("clip_")
 
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not low < value < math.inf:
-            raise argparse.ArgumentTypeError(
-                f"expected a finite number > {low:g}, got {text!r}"
-            )
+            value = tuple(map(float, text.split(","))) if pair else float(text)
+            if pair and len(value) != 2:
+                raise ValueError("expected MIN,MAX")
+            check_weight_field(name, value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{exc}; got {text!r}") from exc
         return value
 
     return parse
-
-
-_scale_factor = _finite_above(1.0)
-_positive = _finite_above(0.0)
-
-
-def _beta(text: str) -> float:
-    """Argparse type for beta: positive, with a finite square (else F is NaN)."""
-    value = _positive(text)
-    if not value * value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"expected a number whose square is finite, got {text!r}"
-        )
-    return value
 
 
 def _system_name(text: str) -> str:
@@ -83,21 +73,6 @@ def _system_name(text: str) -> str:
     if any(c in text for c in "\t\r\n"):
         raise argparse.ArgumentTypeError(f"expected no tab, CR or LF, got {text!r}")
     return text
-
-
-def _clip_pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'min,max', got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    if not 0 < lo <= hi < math.inf:
-        raise argparse.ArgumentTypeError(
-            "clip bounds must be finite and satisfy 0 < min <= max"
-        )
-    return lo, hi
 
 
 def _hypothesis_args(p: argparse.ArgumentParser) -> None:
@@ -169,16 +144,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         choices=VARIANTS,
         help="scorer variant (repeatable; default: dep)",
     )
-    p.add_argument("--alpha-tp", type=_scale_factor, help="TP scale factor override")
-    p.add_argument("--alpha-fp", type=_scale_factor, help="FP scale factor override")
-    p.add_argument("--alpha-fn", type=_scale_factor, help="FN scale factor override")
-    p.add_argument("--clip-tp", type=_clip_pair, metavar="MIN,MAX")
-    p.add_argument("--clip-fp", type=_clip_pair, metavar="MIN,MAX")
-    p.add_argument("--clip-fn", type=_clip_pair, metavar="MIN,MAX")
-    p.add_argument(
-        "--ell", type=_positive, help="average chunk length (default: computed)"
-    )
-    p.add_argument("--beta", type=_beta, help="F-score beta (default: 0.5)")
+    for name, summary in _WEIGHT_FLAGS.items():
+        p.add_argument(
+            "--" + name.replace("_", "-"),
+            type=_weight_type(name),
+            metavar="MIN,MAX" if name.startswith("clip_") else None,
+            help=summary,
+        )
     p.add_argument(
         "--fn-on-mismatch",
         choices=FN_MODES,
@@ -405,21 +377,18 @@ def _resolve_configs(args, chunked):
         "fn_on_mismatch": args.fn_on_mismatch,
         "dependent_selection": "best reference per sentence",
     }
+    overrides = {n: getattr(args, n) for n in _WEIGHT_FLAGS if getattr(args, n) is not None}
     pinned = False
-    if args.ell is not None:
-        ell = args.ell
-    else:
+    if "ell" not in overrides:
         try:
-            ell = compute_ell(chunked)
+            overrides["ell"] = compute_ell(chunked)
         except NoChunksError as exc:
             _warn(f"{exc}; falling back to unweighted counts")
-            ell, pinned = 1.0, True
-    meta["ell"] = round(ell, 4)
-    names = "alpha_tp alpha_fp alpha_fn clip_tp clip_fp clip_fn beta".split()
-    overrides = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+            overrides["ell"], pinned = 1.0, True
+    meta["ell"] = round(overrides["ell"], 4)
     configs = {}
     for variant in variants:
-        cfg = replace(default_config(variant), ell=ell, **overrides)
+        cfg = replace(default_config(variant), **overrides)
         configs[variant] = unweighted(cfg) if pinned else cfg
     return configs, meta
 
@@ -457,12 +426,7 @@ def _format_tables(tables: list[list[list[str]]], fmt: str) -> str:
 
 def cmd_extract(args) -> int:
     pairs = load_parallel(_read(args.src), _read(args.tgt))
-    samples = []
-    for src, tgt in pairs:
-        edits = [
-            replace(e, type_label="UNK") for e in extract_edits(src, tgt)
-        ]
-        samples.append(AnnotatedSample(src, {0: tuple(edits)}))
+    samples = [AnnotatedSample(src, {0: extract_edits(src, tgt)}) for src, tgt in pairs]
     _write_out(args, emit_m2(samples))
     return 0
 

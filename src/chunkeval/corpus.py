@@ -227,12 +227,16 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
 def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
     """Serialize samples canonically: annotators ascending, edits sorted.
 
-    A replacement of the one token ``-NONE-``, and a token or type label
-    holding ``|||``, cannot be written: they raise DataError.
+    Whatever would read back differently raises DataError: an empty source,
+    a token that is empty or holds ASCII whitespace or ``|||``, a lone
+    ``-NONE-`` replacement, or a type label ``noop`` or holding ``|||`` or LF.
     """
     blocks: list[str] = []
     for number, sample in enumerate(samples, 1):
-        lines = ["S " + " ".join(sample.source)]
+        source = " ".join(sample.source)
+        if not source or tokenize(source) != sample.source:
+            raise _unwritable(number, sample.source)
+        lines = ["S " + source]
         for aid in sample.annotator_ids:
             annots = sample.annotations[aid]
             if not annots:
@@ -241,16 +245,25 @@ def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
                 )
                 continue
             for e in annots:
-                repl = " ".join(e.replacement) if e.replacement else _NONE_FIELD
+                repl = " ".join(e.replacement)
                 label = e.type_label if e.type_label is not None else UNKNOWN_TYPE
-                if "|||" in repl + label or e.replacement == (_NONE_FIELD,):
-                    token = next((t for t in (*e.replacement, label) if "|||" in t), repl)
-                    raise DataError(f"sample {number}: cannot write {token!r} to M2")
+                if tokenize(repl) != e.replacement or e.replacement == (_NONE_FIELD,) or (
+                    "|||" in repl + label or "\n" in label or label == NOOP_TYPE
+                ):
+                    raise _unwritable(number, e.replacement, label)
                 lines.append(
-                    f"A {e.start} {e.end}|||{label}|||{repl}|||REQUIRED|||{_NONE_FIELD}|||{aid}"
+                    f"A {e.start} {e.end}|||{label}|||{repl or _NONE_FIELD}|||REQUIRED|||{_NONE_FIELD}|||{aid}"
                 )
         blocks.append("\n".join(lines))
     return "".join(block + "\n\n" for block in blocks)
+
+
+def _unwritable(number: int, tokens: TokenSeq, label: str = "") -> DataError:
+    """The error of emit_m2, naming the first token or label M2 cannot hold."""
+    bad = [t for t in tokens if "|||" in t or tokenize(t) != (t,)]
+    bad += [label] if "|||" in label or "\n" in label or label == NOOP_TYPE else []
+    bad.append(" ".join(tokens))  # a lone -NONE- replacement, or an empty source
+    return DataError(f"sample {number}: cannot write {bad[0]!r} to M2")
 
 
 def split_lines(text: str) -> list[str]:

@@ -10,7 +10,7 @@ dataset's average changed-chunk length.
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .chunker import ChunkedSample
 from .errors import NoChunksError
@@ -50,20 +50,25 @@ class WeightConfig:
     beta: float = 0.5
 
     def __post_init__(self):
-        # Written as "not (valid)" so that NaN is rejected too.
-        for name in ("alpha_tp", "alpha_fp", "alpha_fn"):
-            if not 1.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 1")
-        for name in ("clip_tp", "clip_fp", "clip_fn", "clip_tn"):
-            lo, hi = getattr(self, name)
-            if not 0 < lo <= hi < math.inf:
-                raise ValueError(f"{name} must satisfy 0 < min <= max < inf")
-        for name in ("ell", "beta"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
-        # f_beta_formula would divide inf by inf and report NaN
-        if not self.beta * self.beta < math.inf:
-            raise ValueError("beta squared must be finite")
+        for f in fields(self):
+            check_weight_field(f.name, getattr(self, f.name))
+
+
+def check_weight_field(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is valid for WeightConfig's ``name``."""
+    # Written as "not (valid)" so that NaN is rejected too.
+    if name.startswith("alpha_"):
+        if not 1.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 1")
+    elif name.startswith("clip_"):
+        lo, hi = value
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(f"{name} must satisfy 0 < min <= max < inf")
+    elif not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0")
+    # f_beta_formula would divide inf by inf and report NaN
+    elif name == "beta" and not value * value < math.inf:
+        raise ValueError("beta squared must be finite")
 
 
 # Default hyperparameters per variant; corpus variants share one profile,
@@ -82,20 +87,23 @@ _SENT_INDEP_PROFILE = replace(
 )
 
 
-def parse_variant(variant: str) -> tuple[str, str, bool]:
-    """Split a variant name into (assumption, level, report_accuracy)."""
+def parse_variant(variant: str) -> tuple[str, str]:
+    """Split a variant name into (assumption, level)."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    acc = variant.endswith("-acc")
-    body = variant[:-4] if acc else variant
+    body = variant.removesuffix("-acc")
     level = "sentence" if body.startswith("sent-") else "corpus"
-    assumption = body.removeprefix("sent-")
-    return assumption, level, acc
+    return body.removeprefix("sent-"), level
+
+
+def headline_column(variant: str) -> str:
+    """The column a variant ranks systems by: Acc for ``-acc``, else F_beta."""
+    return "Acc" if variant.endswith("-acc") else "F_beta"
 
 
 def default_config(variant: str) -> WeightConfig:
     """The stock weight profile for one scorer variant."""
-    assumption, level, _ = parse_variant(variant)
+    assumption, level = parse_variant(variant)
     if level == "corpus":
         return _CORPUS_PROFILE
     return _SENT_DEP_PROFILE if assumption == "dep" else _SENT_INDEP_PROFILE
@@ -127,22 +135,12 @@ def raw_weight(x: float, alpha: float, ell: float, outcome: str) -> float:
     raise ValueError(f"unknown outcome {outcome!r}")
 
 
-# Outcome -> (scale factor field, clip field) of its WeightConfig curve.
-_CURVE_FIELDS = {
-    "tp": ("alpha_tp", "clip_tp"),
-    "fp": ("alpha_fp", "clip_fp"),
-    "fn": ("alpha_fn", "clip_fn"),
-}
-
-
 def length_weight(x: float, cfg: WeightConfig, outcome: str) -> float:
     """Clipped length weight of a chunk of length x for one outcome."""
     if outcome == "tn":
         return _clip(1.0, cfg.clip_tn)
-    alpha, bounds = _CURVE_FIELDS[outcome]
-    return _clip(
-        raw_weight(x, getattr(cfg, alpha), cfg.ell, outcome), getattr(cfg, bounds)
-    )
+    alpha = getattr(cfg, "alpha_" + outcome)
+    return _clip(raw_weight(x, alpha, cfg.ell, outcome), getattr(cfg, "clip_" + outcome))
 
 
 def compute_ell(dataset: Sequence[ChunkedSample]) -> float:
@@ -368,6 +366,12 @@ def aggregate_sentence(per_sentence: Sequence[Scores]) -> Scores:
     )
 
 
+# The columns of a score report, in order: the keys of VariantResult.as_row.
+REPORT_COLUMNS = tuple(
+    "system tp_w fp_w fn_w tn_w tp_n fp_n fn_n tn_n P R F_beta Acc variant".split()
+)
+
+
 @dataclass(frozen=True)
 class VariantResult:
     """Everything one scorer variant reports for one system."""
@@ -379,22 +383,10 @@ class VariantResult:
 
     def as_row(self, system: str) -> dict:
         c, s = self.counts, self.scores
-        return {
-            "system": system,
-            "tp_w": round(c.tp_w, 2),
-            "fp_w": round(c.fp_w, 2),
-            "fn_w": round(c.fn_w, 2),
-            "tn_w": round(c.tn_w, 2),
-            "tp_n": c.tp_n,
-            "fp_n": c.fp_n,
-            "fn_n": c.fn_n,
-            "tn_n": c.tn_n,
-            "P": round(s.precision, 4),
-            "R": round(s.recall, 4),
-            "F_beta": round(s.f_beta, 4),
-            "Acc": round(s.accuracy, 4),
-            "variant": self.variant,
-        }
+        weights = [round(w, 2) for w in (c.tp_w, c.fp_w, c.fn_w, c.tn_w)]
+        ratios = [round(r, 4) for r in (s.precision, s.recall, s.f_beta, s.accuracy)]
+        values = [system, *weights, c.tp_n, c.fp_n, c.fn_n, c.tn_n, *ratios, self.variant]
+        return dict(zip(REPORT_COLUMNS, values, strict=True))
 
 
 def run_variant(
@@ -404,7 +396,7 @@ def run_variant(
     fn_on_mismatch: str = FN_FP_ONLY,
 ) -> VariantResult:
     """Score a dataset under one variant with a fully resolved config."""
-    assumption, level, _ = parse_variant(variant)
+    assumption, level = parse_variant(variant)
     scorer = _SlotScorer(cfg, fn_on_mismatch)
     per_sentence: list[OutcomeCounts] = []
     chosen: list[int | None] = []

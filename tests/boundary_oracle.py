@@ -36,7 +36,7 @@ def boundary_stats(
         ids = sample.annotator_ids
         if len(ids) < 2:
             raise TooFewAnnotatorsError(
-                f"sample {i} has {len(ids)} annotator(s); need at least 2"
+                f"sample {i + 1} has {len(ids)} annotator(s); need at least 2"
             )
         for held_out in ids:
             spans, changed = slot_spans(

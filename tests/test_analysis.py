@@ -108,6 +108,14 @@ class TestBoundaryStats:
         with pytest.raises(TooFewAnnotatorsError):
             boundary_stats([sample_of("a b", [Edit(0, 1, ("x",))])])
 
+    def test_too_few_annotators_numbers_samples_from_one(self):
+        # the second sample has one annotator, so the message says "sample 2"
+        samples = [sample_of("a b", [Edit(0, 1, ("x",))], []), sample_of("a b", [])]
+        for stats in (boundary_stats, boundary_oracle.boundary_stats):
+            with pytest.raises(TooFewAnnotatorsError) as err:
+                stats(samples)
+            assert str(err.value) == "sample 2 has 1 annotator(s); need at least 2"
+
     def test_per_pass_mean_ratios_sum_to_one(self):
         sample = sample_of(
             "a b c d e",

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from chunkeval import apply_edits, parse_m2, tokenize
+from chunkeval import WeightConfig, apply_edits, parse_m2, tokenize
 from chunkeval.cli import main
 
 REF_M2 = """S the technologies were improved
@@ -600,6 +600,15 @@ class TestStats:
         assert code == 3
         assert "annotator" in err
 
+    def test_single_annotator_names_the_sample_from_one(self, tmp_path, capsys):
+        refs = tmp_path / "refs.m2"
+        refs.write_text(
+            REF_M2 + "\nS a b\nA 0 1|||X|||c|||REQUIRED|||-NONE-|||0\n", encoding="utf-8"
+        )
+        code, out, err = run(capsys, ["stats", str(refs)])
+        assert (code, out) == (3, "")
+        assert "sample 3 has 1 annotator(s)" in err
+
     def test_bad_config_value_is_data_error_with_line(self, data, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -846,6 +855,57 @@ def test_foreign_config_key_is_data_error_with_line(
     assert code == 3
     assert out == ""
     assert f"{cfg}:1:" in err and "unknown config key" in err
+
+
+SCALARS = ["1", "1.0000001", "0", "-0", "nan", "inf", "-inf", "1e150", "1e200", "x"]
+PAIRS = ["0.5,2", "2,1", "0,1", "1,inf", "nan,1", "1", "1,2,3"]
+WEIGHT_VALUES = [
+    (flag, value)
+    for flag in sorted(FLAGS["evaluate"])
+    if flag.startswith(("--alpha-", "--clip-")) or flag in ("--ell", "--beta")
+    for value in (PAIRS if flag.startswith("--clip-") else SCALARS)
+]
+
+
+def weight_config_takes(field, text):
+    """Whether the text parses and WeightConfig accepts it for ``field``."""
+    try:
+        pair = field.startswith("clip_")
+        WeightConfig(**{field: tuple(map(float, text.split(","))) if pair else float(text)})
+    except ValueError:
+        return False
+    return True
+
+
+def test_weight_values_cover_both_outcomes():
+    # each of the 8 flags gets values that WeightConfig takes and refuses
+    seen = {
+        (flag, weight_config_takes(flag[2:].replace("-", "_"), value))
+        for flag, value in WEIGHT_VALUES
+    }
+    assert len(seen) == 16
+
+
+@pytest.mark.parametrize("flag, value", WEIGHT_VALUES)
+def test_weight_flags_take_what_weight_config_takes(data, tmp_path, capsys, flag, value):
+    valid = weight_config_takes(flag[2:].replace("-", "_"), value)
+    argv = _argv("evaluate", data)
+    if valid:
+        code, _, err = run(capsys, argv + [f"{flag}={value}"])
+        assert (code, err) == (0, "")
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]}={value}\n", encoding="utf-8")
+    code, out, err = run(capsys, argv + ["--config", str(cfg)])
+    if valid:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (3, "")
+        assert f"{cfg}:1:" in err
 
 
 @pytest.mark.parametrize("command", ["evaluate", "chunks"])

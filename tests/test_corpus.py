@@ -322,6 +322,45 @@ class TestEmitM2:
         assert str(err.value) == f"sample 2: cannot write {named} to M2"
         assert parse_m2(emit_m2([fine])) == [fine]
 
+    @pytest.mark.parametrize(
+        "source, replacement, label, named",
+        [
+            # each of these reads back as written
+            (("a", "b"), ("x",), "R:VERB FORM", None),
+            (("a", "b"), ("x",), "", None),
+            (("a", "b"), ("x",), "NOOP", None),
+            (("a", "b"), ("x",), "R\r", None),
+            (("a", "b"), ("x\x85y", "-NONE-"), "R", None),
+            (("a", "b"), ("x\x1fy",), "R", None),
+            (("a", "b"), (), "M:DEL", None),
+            (("-NONE-", "b|||"), ("x",), "R", None),
+            # and each of these would not, so emit_m2 refuses it
+            (("a", "b"), ("x",), "noop", "'noop'"),
+            (("a", "b"), ("x",), "R\nS", "'R\\nS'"),
+            (("a", "b"), ("x\ny",), "R", "'x\\ny'"),
+            (("a", "b"), ("x y",), "R", "'x y'"),
+            (("a", "b"), ("x", ""), "R", "''"),
+            (("a b", "c"), ("x",), "R", "'a b'"),
+            (("a", "\t"), ("x",), "R", "'\\t'"),
+            (("a", ""), ("x",), "R", "''"),
+        ],
+    )
+    def test_round_trip_or_data_error(self, source, replacement, label, named):
+        fine = AnnotatedSample(("a",), {0: ()})
+        sample = AnnotatedSample(source, {2: (Edit(0, 1, replacement, label, 2),)})
+        if named is None:
+            assert parse_m2(emit_m2([fine, sample])) == [fine, sample]
+        else:
+            with pytest.raises(DataError) as err:
+                emit_m2([fine, sample])
+            assert str(err.value) == f"sample 2: cannot write {named} to M2"
+
+    def test_empty_source_is_data_error(self):
+        fine = AnnotatedSample(("a",), {0: ()})
+        with pytest.raises(DataError) as err:
+            emit_m2([fine, AnnotatedSample((), {0: ()})])
+        assert str(err.value) == "sample 2: cannot write '' to M2"
+
 
 class TestLoadParallel:
     def test_two_lines(self):

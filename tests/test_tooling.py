@@ -29,3 +29,49 @@ def test_package_imports_only_the_standard_library():
     )
     assert outside == []
     assert len(imported) > 10  # the walk found the package's imports
+
+
+def _modules():
+    for path in sorted((ROOT / "src" / "chunkeval").glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for name, tree in _modules():
+        if name == "__init__.py":  # it imports names to re-export them
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    imported[bound] = node.lineno
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [(name, line, bound) for bound, line in imported.items() if bound not in used]
+    assert unused == []
+
+
+def test_every_private_module_name_is_referenced():
+    defined, referenced = [], set()
+    for name, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(name, t) for t in targets if t.startswith("_") and not t.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert len(defined) > 5  # the walk found the package's private names
+    assert [(name, t) for name, t in defined if t not in referenced] == []
