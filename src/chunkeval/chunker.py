@@ -10,8 +10,36 @@ stored per sequence; every other chunk is the source span itself.
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .corpus import Edit, TokenSeq, check_edits
+
+
+class SlotColumns(NamedTuple):
+    """A sample's scorer inputs: one column of small ints per sequence.
+
+    Each column holds one int per changed slot. ``hyp`` holds the
+    hypothesis chunk's length where the hypothesis changed the slot (its
+    segment differs from the source span), else 0. ``refs`` holds one column
+    per reference in ``annotator_ids`` order: twice its chunk's length where
+    it changed the slot (else 0), plus 1 where its segment equals the
+    hypothesis segment. A chunk's length is the larger of the span's and the
+    segment's, at least 1 for a changed chunk, so a reference changed the
+    slot exactly when its int is > 1.
+
+    ``distinct`` pairs each distinct reference column with the lowest
+    annotator id that has it, in the order of the references those ids
+    come from, so that the dependent scorer breaks ties as it would over
+    every reference. ``merged`` holds the reference int that judges each
+    slot as all references at once do. ``n_unchanged`` counts the chunks
+    outside the slots.
+    """
+
+    hyp: tuple[int, ...]
+    refs: tuple[tuple[int, ...], ...]
+    distinct: tuple[tuple[int, tuple[int, ...]], ...]
+    merged: tuple[int, ...]
+    n_unchanged: int
 
 
 @dataclass(frozen=True)
@@ -30,27 +58,41 @@ class ChunkedSample:
     slot_segments: tuple[tuple[TokenSeq, ...], ...]
 
     @cached_property
-    def slot_records(self) -> tuple[tuple[int, ...], ...]:
-        """One record of small ints per changed slot, built on first use.
-
-        A record starts with the hypothesis chunk's length if the hypothesis
-        changed the slot (its segment differs from the source span), else 0.
-        Then one int per reference in ``annotator_ids`` order: twice its
-        chunk's length if it changed the slot (else 0), plus 1 if its
-        segment equals the hypothesis segment. A chunk's length is the
-        larger of the span's and the segment's, at least 1 for a changed
-        chunk, so a reference changed the slot exactly when its int is > 1.
-        """
-        records = []
-        for idx, (hyp, *refs) in zip(self.changed_indices, zip(*self.slot_segments)):
+    def slot_columns(self) -> SlotColumns:
+        """The columns every scorer variant reads, built on first use."""
+        hyp, records, merged = [], [], []
+        for idx, h, *refs in zip(self.changed_indices, *self.slot_segments):
             a, b = self.boundary_spans[idx]
             kept = self.source[a:b]
-            record = [0 if hyp == kept else max(b - a, len(hyp))]
-            for ref in refs:
-                changed = 0 if ref == kept else 2 * max(b - a, len(ref))
-                record.append(changed + (ref == hyp))
-            records.append(tuple(record))
-        return tuple(records)
+            if h == kept:
+                hyp.append(0)
+                record = [1 if r == kept else 2 * max(b - a, len(r)) for r in refs]
+                # an FN of the shortest length only when every reference
+                # changed the slot (there is at least one), else a TN
+                merged.append(min(record, default=0))
+            else:
+                hyp.append(max(b - a, len(h)))
+                record = [
+                    0 if r == kept else 2 * max(b - a, len(r)) + (r == h) for r in refs
+                ]
+                # a match with any reference, else the shortest changed
+                # reference chunk, which an FP owes as an FN under
+                # fn_on_mismatch="both", or 0 when no reference changed it
+                merged.append(1 if h in refs else min(filter(None, record), default=0))
+            records.append(record)
+        columns = tuple(zip(*records)) or ((),) * len(self.annotator_ids)
+        lowest: dict[tuple[int, ...], int] = {}
+        for aid, column in zip(self.annotator_ids, columns):
+            if aid < lowest.get(column, aid + 1):
+                lowest.pop(column, None)  # re-inserted at this reference's place
+                lowest[column] = aid
+        return SlotColumns(
+            tuple(hyp),
+            columns,
+            tuple((aid, column) for column, aid in lowest.items()),
+            tuple(merged),
+            len(self.boundary_spans) - len(self.changed_indices),
+        )
 
 
 def slot_spans(

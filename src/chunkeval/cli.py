@@ -5,6 +5,7 @@ stderr, data to stdout (or to the file given with -o).
 """
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -507,13 +508,24 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with the cyclic garbage collector paused.
+
+    A command keeps what it reads until it returns, and its objects form no
+    cycles beyond the parsers', so collecting during it would only walk
+    them. The caller's collector state is restored on every exit.
+    """
     argv = sys.argv[1:] if argv is None else argv
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = parse_args(argv)
         return _COMMANDS[args.command](args)
     except (DataError, OSError) as exc:
         _warn(str(exc))
         return 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

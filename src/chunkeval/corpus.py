@@ -229,7 +229,9 @@ def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
 
     Whatever would read back differently raises DataError: an empty source,
     a token that is empty or holds ASCII whitespace or ``|||``, a lone
-    ``-NONE-`` replacement, or a type label ``noop`` or holding ``|||`` or LF.
+    ``-NONE-`` replacement, a type label ``noop`` or holding ``|||`` or LF,
+    a negative annotator key, or an edit whose ``annotator_id`` is not the
+    key it is filed under.
     """
     blocks: list[str] = []
     for number, sample in enumerate(samples, 1):
@@ -239,12 +241,19 @@ def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
         lines = ["S " + source]
         for aid in sample.annotator_ids:
             annots = sample.annotations[aid]
+            if aid < 0:
+                raise DataError(f"sample {number}: cannot write annotator {aid} to M2")
             if not annots:
                 lines.append(
                     f"A -1 -1|||{NOOP_TYPE}|||{_NONE_FIELD}|||REQUIRED|||{_NONE_FIELD}|||{aid}"
                 )
                 continue
             for e in annots:
+                if e.annotator_id != aid:
+                    raise DataError(
+                        f"sample {number}: cannot write an edit of annotator "
+                        f"{e.annotator_id} as annotator {aid} to M2"
+                    )
                 repl = " ".join(e.replacement)
                 label = e.type_label if e.type_label is not None else UNKNOWN_TYPE
                 if tokenize(repl) != e.replacement or e.replacement == (_NONE_FIELD,) or (

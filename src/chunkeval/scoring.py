@@ -148,8 +148,8 @@ def compute_ell(dataset: Sequence[ChunkedSample]) -> float:
     lengths = [
         ref >> 1
         for cs in dataset
-        for record in cs.slot_records
-        for ref in record[1:]
+        for column in cs.slot_columns.refs
+        for ref in column
         if ref > 1
     ]
     if not lengths:
@@ -235,26 +235,8 @@ class _WeightTable(dict):
         return weight
 
 
-def _merged_ref(record: tuple[int, ...]) -> int:
-    """The reference int that judges a slot as all references at once do.
-
-    A changed hypothesis chunk that matches any reference gets a match (1);
-    otherwise the shortest changed reference chunk (an even int), which an
-    FP owes as an FN under ``fn_on_mismatch="both"``, or 0 when no reference
-    changed the slot. For a kept hypothesis chunk the smallest int is above
-    1, an FN of the shortest length, only when every reference (there is at
-    least one) changed the slot.
-    """
-    hyp, refs = record[0], record[1:]
-    if not hyp:
-        return min(refs, default=0)
-    if any(ref & 1 for ref in refs):
-        return 1
-    return min((ref for ref in refs if ref), default=0)
-
-
 class _SlotScorer:
-    """Weights and sums ``ChunkedSample.slot_records`` under one config.
+    """Weights and sums ``ChunkedSample.slot_columns`` under one config.
 
     Each slot is judged by one reference int: ``ref & 1`` means the
     reference chunk matches the hypothesis chunk, and ``ref >> 1`` is its
@@ -269,7 +251,7 @@ class _SlotScorer:
         self.tn = length_weight(0, cfg, "tn")
 
     def _sum(
-        self, cs: ChunkedSample, hyps: Sequence[int], refs: Sequence[int]
+        self, hyps: Sequence[int], refs: Sequence[int], n_unchanged: int
     ) -> OutcomeCounts:
         tp, fp, fn, tn, both = self.tp, self.fp, self.fn, self.tn, self.both
         tp_w = fp_w = fn_w = tn_w = 0.0
@@ -290,20 +272,19 @@ class _SlotScorer:
             elif not hyp:
                 tn_w += tn
                 tn_n += 1
-        n_unchanged = len(cs.boundary_spans) - len(cs.changed_indices)
         tn_w += n_unchanged * tn
         tn_n += n_unchanged
         return OutcomeCounts(tp_w, fp_w, fn_w, tn_w, tp_n, fp_n, fn_n, tn_n)
 
     def dependent(self, cs: ChunkedSample) -> tuple[OutcomeCounts, int | None]:
-        ids = cs.annotator_ids
-        if not ids:
+        columns = cs.slot_columns
+        if not columns.distinct:
             return self.independent(cs), None
-        # one column per sequence: the hypothesis, then each reference
-        hyps, *columns = list(zip(*cs.slot_records)) or [()] * (1 + len(ids))
+        hyps = columns.hyp
         tp, fp, fn, both = self.tp, self.fp, self.fn, self.both
         best_aid, best_refs, best_key = None, None, None
-        for aid, refs in zip(ids, columns):
+        # equal columns score alike, so the lowest id of each stands for all
+        for aid, refs in columns.distinct:
             # only the weighted TP, FP and FN of ``_sum``, added in its order
             tp_w = fp_w = fn_w = 0.0
             for hyp, ref in zip(hyps, refs):
@@ -320,13 +301,11 @@ class _SlotScorer:
             key = (f, tp_w, -aid)
             if best_key is None or key > best_key:
                 best_aid, best_refs, best_key = aid, refs, key
-        return self._sum(cs, hyps, best_refs), best_aid
+        return self._sum(hyps, best_refs, columns.n_unchanged), best_aid
 
     def independent(self, cs: ChunkedSample) -> OutcomeCounts:
-        records = cs.slot_records
-        return self._sum(
-            cs, [record[0] for record in records], [_merged_ref(r) for r in records]
-        )
+        columns = cs.slot_columns
+        return self._sum(columns.hyp, columns.merged, columns.n_unchanged)
 
 
 def score_sentence_dependent(

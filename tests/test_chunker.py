@@ -343,8 +343,19 @@ class TestMatchesPartitionOracle:
             cs = partition(source, hyp_edits, refs)
             want = partition_oracle.partition(source, hyp_edits, refs)
             assert chunk_views(cs) == want
-            assert cs.slot_records == want.slot_records
             assert cs.annotator_ids == tuple(aid for aid, _ in refs)
+            # the oracle's records are the columns of ``slot_columns``
+            columns, records = cs.slot_columns, want.slot_records
+            assert columns.hyp == tuple(record[0] for record in records)
+            assert columns.refs == tuple(
+                tuple(record[k] for record in records) for k in range(1, len(refs) + 1)
+            )
+            pairs = list(zip(cs.annotator_ids, columns.refs))
+            assert columns.distinct == tuple(
+                (min(a for a, c in pairs if c == column), column)
+                for column in dict.fromkeys(c for _, c in pairs)
+            )
+            assert columns.n_unchanged == len(cs.boundary_spans) - len(records)
             sequences = [want.hyp_chunks] + [chunks for _, chunks in want.ref_chunks]
             assert cs.slot_segments == tuple(
                 tuple(chunks[idx].segment for idx in want.changed_indices)

@@ -1,9 +1,22 @@
+import gc
 import json
+import random
 import re
 
 import pytest
+from conftest import random_case
 
-from chunkeval import WeightConfig, apply_edits, parse_m2, tokenize
+from chunkeval import (
+    VARIANTS,
+    AnnotatedSample,
+    Edit,
+    WeightConfig,
+    apply_edits,
+    emit_m2,
+    parse_m2,
+    tokenize,
+)
+from chunkeval import cli
 from chunkeval.cli import main
 
 REF_M2 = """S the technologies were improved
@@ -954,3 +967,82 @@ def test_module_entry_point(data):
     )
     assert proc.returncode == 0
     assert "icc_count\t4" in proc.stdout
+
+
+def _write_corpus(path, n_samples):
+    """A seeded corpus of ``n_samples``: references as M2, hypotheses as text."""
+    rng = random.Random(17)
+    samples, hyps = [], []
+    for _ in range(n_samples):
+        source, hyp_edits, refs = random_case(rng, min_refs=2, max_refs=4)
+        annotations = {
+            aid: tuple(Edit(e.start, e.end, e.replacement, "T", aid) for e in edits)
+            for aid, edits in refs
+        }
+        samples.append(AnnotatedSample(source, annotations))
+        hyps.append(" ".join(apply_edits(source, hyp_edits)))
+    path.mkdir()
+    (path / "ref.m2").write_text(emit_m2(samples), encoding="utf-8")
+    (path / "hyp.txt").write_text("".join(h + "\n" for h in hyps), encoding="utf-8")
+    return path
+
+
+class TestGarbageCollector:
+    """A command runs with the cyclic collector paused and then restores it."""
+
+    @pytest.fixture(autouse=True)
+    def keep_collector_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome", ["exit-0", "exit-3", "usage"])
+    def test_state_is_restored(self, data, capsys, enabled, outcome):
+        hyp = data / ("missing.txt" if outcome == "exit-3" else "ref0-as-hyp.txt")
+        argv = ["evaluate", str(hyp), str(data / "ref.m2")]
+        (gc.enable if enabled else gc.disable)()
+        if outcome == "usage":
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--bogus"])
+            assert exc.value.code == 2
+        else:
+            assert main(argv) == (0 if outcome == "exit-0" else 3)
+        assert gc.isenabled() is enabled
+        capsys.readouterr()
+
+    def test_command_runs_with_the_collector_paused(self, data, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setitem(
+            cli._COMMANDS, "stats", lambda args: seen.append(gc.isenabled()) or 0
+        )
+        gc.enable()
+        assert main(["stats", str(data / "ref.m2")]) == 0
+        assert (seen, gc.isenabled()) == ([False], True)
+
+    def test_cycles_left_do_not_grow_with_the_corpus(self, tmp_path, capsys):
+        """What a command leaves for the collector is the same for 1 and 200 samples.
+
+        So pausing the collector for a whole command cannot hold back
+        garbage that grows with the input.
+        """
+
+        def cycles(argv):
+            gc.disable()
+            gc.collect()
+            assert main(argv) == 0
+            capsys.readouterr()
+            return gc.collect()
+
+        small, large = _write_corpus(tmp_path / "1", 1), _write_corpus(tmp_path / "200", 200)
+        for argvs in (
+            [
+                ["evaluate", str(d / "hyp.txt"), str(d / "ref.m2")]
+                + [f"--variant={v}" for v in VARIANTS]
+                for d in (small, large, small)
+            ],
+            [["stats", str(d / "ref.m2")] for d in (small, large, small)],
+        ):
+            cycles(argvs[0])  # fill the module-level caches first
+            left = [cycles(argv) for argv in argvs]
+            assert left[0] == left[1] == left[2] > 0, (argvs[0][0], left)

@@ -343,11 +343,22 @@ class TestEmitM2:
             (("a b", "c"), ("x",), "R", "'a b'"),
             (("a", "\t"), ("x",), "R", "'\\t'"),
             (("a", ""), ("x",), "R", "''"),
+            # a whole sample whose annotator key M2 cannot carry
+            (
+                AnnotatedSample(("a", "b"), {1: (Edit(0, 1, ("x",), "R", 0),)}),
+                None,
+                None,
+                "an edit of annotator 0 as annotator 1",
+            ),
+            (AnnotatedSample(("a", "b"), {-1: ()}), None, None, "annotator -1"),
         ],
     )
     def test_round_trip_or_data_error(self, source, replacement, label, named):
         fine = AnnotatedSample(("a",), {0: ()})
-        sample = AnnotatedSample(source, {2: (Edit(0, 1, replacement, label, 2),)})
+        if isinstance(source, AnnotatedSample):
+            sample = source
+        else:
+            sample = AnnotatedSample(source, {2: (Edit(0, 1, replacement, label, 2),)})
         if named is None:
             assert parse_m2(emit_m2([fine, sample])) == [fine, sample]
         else:
@@ -411,8 +422,13 @@ def test_parsed_edits_always_apply():
     for _ in range(200):
         source = random_tokens(rng, 1, 8)
         refs = random_ref_sets(rng, len(source), 0, 3)
+        # each edit carries its annotator's id, which emit_m2 requires
         sample = AnnotatedSample(
-            source, {aid: tuple(edits) for aid, edits in refs}
+            source,
+            {
+                aid: tuple(Edit(e.start, e.end, e.replacement, None, aid) for e in edits)
+                for aid, edits in refs
+            },
         )
         reparsed = parse_m2(emit_m2([sample]))[0]
         for aid in reparsed.annotator_ids:

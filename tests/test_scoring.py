@@ -145,6 +145,15 @@ class TestDependent:
         _, chosen = score_sentence_dependent(cs, CFG)
         assert chosen == 3
 
+    def test_equal_references_choose_the_lowest_id_in_any_order(self):
+        source, hyp = ("a", "b"), [Edit(0, 1, ("x",))]
+        refs = [(5, [Edit(0, 1, ("y",))]), (2, [Edit(0, 1, ("y",))])]
+        cs = partition(source, hyp, refs)
+        assert cs.slot_columns.distinct == ((2, cs.slot_columns.refs[1]),)
+        _, chosen = score_sentence_dependent(cs, CFG)
+        old = partition_oracle.partition(source, hyp, refs)
+        assert chosen == scoring_oracle.score_sentence_dependent(old, CFG)[1] == 2
+
     def test_sample_without_references(self):
         cs = partition(("a", "b"), [Edit(0, 1, ("x",))], [])
         counts, chosen = score_sentence_dependent(cs, CFG)
@@ -232,15 +241,21 @@ class TestMatchesSlotOracle:
             return "no chunks"
 
     def test_counts_choice_and_ell_are_identical(self):
-        rng = random.Random(89)
+        rng, shuffle_rng = random.Random(89), random.Random(90)
+        repeated = 0  # sentences where two references have equal columns
         for _ in range(40):
             batch, old_batch = [], []
             for _ in range(15):
                 source, hyp_edits, refs = random_case(rng, min_refs=0, max_refs=10)
                 if refs and rng.random() < 0.3:  # make TPs common
                     hyp_edits = list(rng.choice(refs)[1])
-                batch.append(partition(source, hyp_edits, refs))
-                old_batch.append(partition_oracle.partition(source, hyp_edits, refs))
+                # the references as given, then in shuffled order
+                for order in (refs, shuffle_rng.sample(refs, len(refs))):
+                    batch.append(partition(source, hyp_edits, order))
+                    old_batch.append(partition_oracle.partition(source, hyp_edits, order))
+            repeated += sum(
+                len(cs.slot_columns.distinct) < len(cs.annotator_ids) for cs in batch
+            )
             singles = [([cs], [old]) for cs, old in zip(batch, old_batch)]
             for dataset, old_dataset in [(batch, old_batch)] + singles:
                 assert self.ell_or_error(compute_ell, dataset) == self.ell_or_error(
@@ -264,6 +279,7 @@ class TestMatchesSlotOracle:
                         ind = score_sentence_independent(cs, cfg, mode)
                         want = scoring_oracle.score_sentence_independent(old, cfg, mode)
                         assert self.bits(ind) == self.bits(want)
+        assert repeated >= 300
 
     def test_run_variant_sums_the_same_sentences(self):
         rng = random.Random(97)
