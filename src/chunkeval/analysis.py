@@ -35,7 +35,9 @@ class BoundaryStats:
     edits_total: int
 
 
-def _hold_out(intervals: list[tuple[int, int, int]], held_out: int, edits) -> list[int]:
+def _hold_out(
+    intervals: list[tuple[int, int, int]], held_out: int, edits
+) -> tuple[int, int, int]:
     """ICC, IUC and CC counts of one annotator's edits against all the others'.
 
     ``intervals`` holds every annotator's sorted (start, end, id). The others'
@@ -53,20 +55,20 @@ def _hold_out(intervals: list[tuple[int, int, int]], held_out: int, edits) -> li
             end = e
     starts.append(math.inf)  # a sentinel slot after the source end
     ends.append(math.inf)
-    counts = [0, 0, 0]
+    icc = iuc = cc = 0
     j = 0
     for edit in edits:  # sorted and disjoint, so the slot pointer only moves on
         s, e = edit.start, edit.end
         while ends[j] < s:
             j += 1
         if starts[j] <= s and e <= ends[j]:
-            counts[0] += 1
+            icc += 1
         # in the unchanged chunk before slot j, or in the one after it
         elif e <= starts[j] or s == ends[j] and e <= starts[j + 1]:
-            counts[1] += 1
+            iuc += 1
         else:
-            counts[2] += 1
-    return counts
+            cc += 1
+    return icc, iuc, cc
 
 
 def boundary_stats(
@@ -76,9 +78,10 @@ def boundary_stats(
 
     With ``per_pass_mean`` the three ratios are averaged over hold-out
     passes instead of pooled over all held-out edits; the raw tallies are
-    pooled either way.
+    pooled either way. A pass whose held-out annotator has no edits adds
+    nothing to either, so it is skipped.
     """
-    counts = [0, 0, 0]
+    icc = iuc = cc = 0
     pass_ratios: list[tuple[float, float, float]] = []
     for i, sample in enumerate(samples):
         ids = sample.annotator_ids
@@ -90,76 +93,94 @@ def boundary_stats(
             (e.start, e.end, aid) for aid in ids for e in sample.annotations[aid]
         )
         for held_out in ids:
-            local = _hold_out(intervals, held_out, sample.annotations[held_out])
-            counts = [c + x for c, x in zip(counts, local)]
-            m = sum(local)
-            if m:
-                pass_ratios.append(tuple(c / m for c in local))
-    total = sum(counts)
+            edits = sample.annotations[held_out]
+            if not edits:
+                continue
+            local = _hold_out(intervals, held_out, edits)
+            icc, iuc, cc = icc + local[0], iuc + local[1], cc + local[2]
+            if per_pass_mean:
+                m = len(edits)  # every held-out edit has exactly one class
+                pass_ratios.append((local[0] / m, local[1] / m, local[2] / m))
+    total = icc + iuc + cc
     if total == 0:
         raise NoChunksError("no held-out edits; boundary ratios are undefined")
     if per_pass_mean:
         ratios = [math.fsum(r[k] for r in pass_ratios) / len(pass_ratios) for k in range(3)]
     else:
-        ratios = [c / total for c in counts]
-    return BoundaryStats(*ratios, *counts, total)
+        ratios = [icc / total, iuc / total, cc / total]
+    return BoundaryStats(*ratios, icc, iuc, cc, total)
+
+
+def _ratio(total: int, count: int) -> float:
+    """``total / count``, or 0.0 for no items: the exact quotient rounded
+    once, as ``math.fsum`` of the items over their count is."""
+    return total / count if count else 0.0
 
 
 def corpus_stats(samples: Sequence[AnnotatedSample]) -> dict:
-    """Reference-set statistics: sentence/reference/edit/chunk counts and lengths."""
-    n_sentences = len(samples)
-    src_len = [len(s.source) for s in samples]
-    ref_len: list[int] = []
-    edit_len: list[int] = []
-    unchanged_len: list[int] = []
-    changed_len: list[int] = []
+    """Reference-set statistics: sentence/reference/edit/chunk counts and lengths.
+
+    Every reference has every chunk of its sentence's shared segmentation.
+    Each chunk starts as unchanged, and an insertion slot as a dummy chunk,
+    which counts as neither. Only the slots that a reference's own edits
+    fall in are visited: where its segment differs from the source span,
+    the chunk counts as changed instead. Counts and token sums are ints.
+    """
+    n_refs = ref_sum = n_edits = edit_sum = 0
+    n_unchanged = unchanged_sum = n_changed = changed_sum = 0
     for sample in samples:
         source, n = sample.source, len(sample.source)
         refs = [sample.annotations[aid] for aid in sample.annotator_ids]
         spans, changed = slot_spans(n, refs)
         slots = [spans[k] for k in changed]
-        # Every reference has every unchanged span; it changed a slot where
-        # its segment differs from the source span. Dummy chunks (an
-        # insertion slot a reference did not use) count as neither.
-        unchanged_len += [b - a for k, (a, b) in enumerate(spans) if k not in changed] * len(refs)
+        # the unchanged spans and the non-empty slots cover the source
+        n_unchanged += (len(spans) - sum(a == b for a, b in slots)) * len(refs)
+        unchanged_sum += n * len(refs)
+        n_refs += len(refs)
         for edits in refs:
-            growth = [len(e.replacement) - (e.end - e.start) for e in edits]
-            ref_len.append(n + sum(growth))
-            edit_len += [len(e.replacement) for e in edits]
-            i = 0
-            for a, b in slots:
-                j = i
+            n_edits += len(edits)
+            ref_sum += n
+            i = k = 0
+            while i < len(edits):
+                first = edits[i]
+                while slots[k][1] < first.start:
+                    k += 1
+                a, b = slots[k]
+                j = i + 1
                 while j < len(edits) and edits[j].start <= b:
                     j += 1
-                length = b - a + sum(growth[i:j])
+                growth = 0
+                for e in edits[i:j]:
+                    edit_sum += len(e.replacement)
+                    growth += len(e.replacement) - e.end + e.start
+                ref_sum += growth
                 # an equal length may still be a reordering, or a no-op edit
-                if length != b - a or i < j and (
-                    edits[i].replacement != source[edits[i].start : edits[i].end]
+                if growth or (
+                    first.replacement != source[first.start : first.end]
                     if j == i + 1
                     else _splice_slots(source, edits[i:j], [(a, b, ())]) != (source[a:b],)
                 ):
-                    changed_len.append(max(b - a, length))
-                elif a < b:
-                    unchanged_len.append(b - a)
+                    if a < b:
+                        n_unchanged -= 1
+                        unchanged_sum -= b - a
+                    n_changed += 1
+                    changed_sum += b - a + max(growth, 0)
                 i = j
 
-    def _mean(xs):
-        return math.fsum(xs) / len(xs) if xs else 0.0
-
-    n_chunks = len(unchanged_len) + len(changed_len)
+    n_chunks = n_unchanged + n_changed
     return {
-        "sentences": n_sentences,
-        "avg_sentence_length": _mean(src_len),
-        "references": len(ref_len),
-        "avg_reference_length": _mean(ref_len),
-        "edits": len(edit_len),
-        "avg_edit_length": _mean(edit_len),
-        "unchanged_chunks": len(unchanged_len),
-        "unchanged_chunk_share": len(unchanged_len) / n_chunks if n_chunks else 0.0,
-        "avg_unchanged_chunk_length": _mean(unchanged_len),
-        "changed_chunks": len(changed_len),
-        "changed_chunk_share": len(changed_len) / n_chunks if n_chunks else 0.0,
-        "avg_changed_chunk_length": _mean(changed_len),
+        "sentences": len(samples),
+        "avg_sentence_length": _ratio(sum(len(s.source) for s in samples), len(samples)),
+        "references": n_refs,
+        "avg_reference_length": _ratio(ref_sum, n_refs),
+        "edits": n_edits,
+        "avg_edit_length": _ratio(edit_sum, n_edits),
+        "unchanged_chunks": n_unchanged,
+        "unchanged_chunk_share": _ratio(n_unchanged, n_chunks),
+        "avg_unchanged_chunk_length": _ratio(unchanged_sum, n_unchanged),
+        "changed_chunks": n_changed,
+        "changed_chunk_share": _ratio(n_changed, n_chunks),
+        "avg_changed_chunk_length": _ratio(changed_sum, n_changed),
     }
 
 

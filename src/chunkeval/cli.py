@@ -333,21 +333,30 @@ def _load_hypotheses(args, samples: list[AnnotatedSample]) -> list:
     ]
 
 
-def _drop_unchanged(
-    samples: list[AnnotatedSample], min_annotators: int
+def _kept_samples(
+    args, samples: list[AnnotatedSample], min_annotators: int
 ) -> dict[int, AnnotatedSample]:
-    """Samples by index without their unchanged annotators; thin ones skipped."""
-    kept = {}
-    for i, sample in enumerate(samples):
-        filtered = drop_unchanged_references(sample)
-        if filtered is not None and len(filtered.annotator_ids) >= min_annotators:
-            kept[i] = filtered
-    skipped = len(samples) - len(kept)
-    if skipped:
-        _warn(
-            f"--drop-unchanged-refs skipped {skipped} sample(s); each needs at "
-            f"least {min_annotators} annotator(s) with edits"
-        )
+    """Samples by index, which ``evaluate``, ``chunks`` and ``stats`` read.
+
+    Under ``--drop-unchanged-refs`` each sample loses its unchanged
+    annotators, and one left with fewer than ``min_annotators`` is skipped.
+    Raises DataError when no sample is left.
+    """
+    kept = dict(enumerate(samples))
+    if args.drop_unchanged_refs:
+        kept = {}
+        for i, sample in enumerate(samples):
+            filtered = drop_unchanged_references(sample)
+            if filtered is not None and len(filtered.annotator_ids) >= min_annotators:
+                kept[i] = filtered
+        skipped = len(samples) - len(kept)
+        if skipped:
+            _warn(
+                f"--drop-unchanged-refs skipped {skipped} sample(s); each needs at "
+                f"least {min_annotators} annotator(s) with edits"
+            )
+    if not kept:
+        raise DataError(f"no samples left to {args.command}")
     return kept
 
 
@@ -355,19 +364,13 @@ def _load_chunked(args) -> list[ChunkedSample]:
     """Partitioned samples of the hypothesis against the references."""
     samples = parse_m2(_read(args.ref))
     hyp_edits = _load_hypotheses(args, samples)
-    if args.drop_unchanged_refs:
-        kept = _drop_unchanged(samples, 1)
-        samples = list(kept.values())
-        hyp_edits = [hyp_edits[i] for i in kept]
-    if not samples:
-        raise DataError(f"no samples left to {args.command}")
     return [
         partition(
             sample.source,
-            edits,
+            hyp_edits[i],
             [(aid, sample.annotations[aid]) for aid in sample.annotator_ids],
         )
-        for sample, edits in zip(samples, hyp_edits)
+        for i, sample in _kept_samples(args, samples, 1).items()
     ]
 
 
@@ -450,9 +453,7 @@ def cmd_chunks(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    samples = parse_m2(_read(args.ref))
-    if args.drop_unchanged_refs:
-        samples = list(_drop_unchanged(samples, 2).values())
+    samples = list(_kept_samples(args, parse_m2(_read(args.ref)), 2).values())
     stats = boundary_stats(samples, per_pass_mean=args.per_pass_mean)
     payload = {
         **corpus_stats(samples),

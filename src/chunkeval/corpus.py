@@ -27,17 +27,26 @@ from .errors import (
 TokenSeq = tuple[str, ...]
 
 _ASCII_WS = re.compile(r"[ \t\r\n\f\v]+")
-# the only ASCII characters that str.split breaks at and _ASCII_WS does not
-_SPLIT_ONLY = re.compile("[\x1c-\x1f]")
 
 NOOP_TYPE = "noop"
 UNKNOWN_TYPE = "UNK"
 _NONE_FIELD = "-NONE-"
 
 
+def _splits_plainly(text: str) -> bool:
+    """Whether ``str.split`` breaks ``text`` exactly where ``_ASCII_WS`` does.
+
+    Outside ASCII, ``str.split`` also breaks at Unicode spaces; inside it,
+    only at ``\x1c``-``\x1f`` beyond ``_ASCII_WS``.
+    """
+    return text.isascii() and not (
+        "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text
+    )
+
+
 def tokenize(text: str) -> TokenSeq:
     """Split on runs of ASCII whitespace; empty input gives an empty tuple."""
-    if text.isascii() and not _SPLIT_ONLY.search(text):
+    if _splits_plainly(text):
         return tuple(text.split())
     return tuple(t for t in _ASCII_WS.split(text) if t)
 
@@ -74,7 +83,8 @@ _set_start, _set_end, _set_replacement, _set_type_label, _set_annotator_id = (
 
 
 class _CheckedEdits(tuple):
-    """Edits that ``check_edits`` sorted and found disjoint, so ends ascend."""
+    """Edits that ``check_edits`` sorted and found disjoint, or that
+    ``parse_m2`` read in that order, so ends ascend."""
 
     __slots__ = ()
 
@@ -82,8 +92,8 @@ class _CheckedEdits(tuple):
 def check_edits(edits: Iterable[Edit], source_len: int) -> tuple[Edit, ...]:
     """Sort edits by (start, end) and verify bounds and non-overlap.
 
-    Edits already in order and disjoint are checked in one pass. Of edits
-    that it returned before, only the last end is checked again.
+    Edits already in order and disjoint are checked in one pass. Of
+    ``_CheckedEdits``, only the last end is checked again.
     """
     checked = type(edits) is _CheckedEdits
     ordered = edits if checked else tuple(edits)
@@ -144,15 +154,23 @@ def apply_edits(source: Sequence[str], edits: Iterable[Edit]) -> TokenSeq:
 
 
 def parse_m2(text: str) -> list[AnnotatedSample]:
-    """Parse an M2 file into one AnnotatedSample per ``S`` block."""
+    """Parse an M2 file into one AnnotatedSample per ``S`` block.
+
+    Each edit is compared with the previous edit of its annotator as it is
+    read. A block whose edits are all in order and disjoint reaches
+    ``AnnotatedSample`` as ``_CheckedEdits``; any other block is sorted and
+    checked there, which names the overlap.
+    """
     samples: list[AnnotatedSample] = []
     source: TokenSeq | None = None
     block_line = 0
     edits: dict[int, list[Edit]] = {}
     noop_ids: set[int] = set()
+    in_order = True
+    split = (lambda s: tuple(s.split())) if _splits_plainly(text) else tokenize
 
     def flush():
-        nonlocal source, edits, noop_ids
+        nonlocal source, edits, noop_ids, in_order
         if source is None:
             return
         for aid in noop_ids:
@@ -161,28 +179,16 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
                     f"annotator {aid} has both a noop record and edits", block_line
                 )
             edits.setdefault(aid, [])
-        annotations = {aid: tuple(es) for aid, es in edits.items()}
+        checked = _CheckedEdits if in_order else tuple
+        annotations = {aid: checked(es) if es else () for aid, es in edits.items()}
         try:
             samples.append(AnnotatedSample(source, annotations))
         except (BoundsError, OverlapError) as exc:
             raise ParseError(str(exc), block_line) from exc
-        source, edits, noop_ids = None, {}, set()
+        source, edits, noop_ids, in_order = None, {}, set(), True
 
     for lineno, line in enumerate(split_lines(text), 1):
-        if not line or line.isspace():
-            flush()
-        elif line.startswith("S ") or line == "S":
-            if source is not None:
-                raise ParseError("second 'S' line inside one record", lineno)
-            source = tokenize(line[2:])
-            block_line = lineno
-            if not source:
-                raise ParseError("empty source sentence", lineno)
-        elif not line.startswith("A "):
-            raise ParseError(f"unrecognized line: {line[:40]!r}", lineno)
-        elif source is None:
-            raise ParseError("'A' line before any 'S' line", lineno)
-        else:
+        if line.startswith("A ") and source is not None:
             fields = line[2:].split("|||")
             if len(fields) < 6:
                 raise ParseError(f"expected 6 '|||' fields, got {len(fields)}", lineno)
@@ -209,7 +215,7 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
                     f"edit [{start}, {end}) outside source of length {len(source)}", lineno
                 )
             # a literally empty replacement field is tolerated as a deletion
-            replacement = () if fields[2] == _NONE_FIELD else tokenize(fields[2])
+            replacement = () if fields[2] == _NONE_FIELD else split(fields[2])
             if start == end and not replacement:
                 raise ParseError("insertion with empty replacement", lineno)
             # every field is checked above, so Edit.__post_init__ is not run
@@ -219,7 +225,29 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
             _set_replacement(edit, replacement)
             _set_type_label(edit, type_label)
             _set_annotator_id(edit, annotator)
-            edits.setdefault(annotator, []).append(edit)
+            previous = edits.get(annotator)
+            if previous is None:
+                edits[annotator] = [edit]
+                continue
+            # the pair test of check_edits: out of order, overlapping, or
+            # two insertions at one point
+            last = previous[-1]
+            if last.end > start or last.start == end:
+                in_order = False
+            previous.append(edit)
+        elif not line or line.isspace():
+            flush()
+        elif line.startswith("S ") or line == "S":
+            if source is not None:
+                raise ParseError("second 'S' line inside one record", lineno)
+            source = split(line[2:])
+            block_line = lineno
+            if not source:
+                raise ParseError("empty source sentence", lineno)
+        elif not line.startswith("A "):
+            raise ParseError(f"unrecognized line: {line[:40]!r}", lineno)
+        else:
+            raise ParseError("'A' line before any 'S' line", lineno)
     flush()
     return samples
 

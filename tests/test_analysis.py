@@ -210,9 +210,10 @@ class TestCorpusStats:
         assert corpus_stats(samples)["avg_changed_chunk_length"] == compute_ell(chunked)
 
     def test_matches_chunk_based_oracle(self):
-        # repeat-heavy sources, 2-10 annotators, some of them with no edits
-        rng = random.Random(61)
-        no_edits = insertion_slots = 0
+        # repeat-heavy sources, 2-10 annotators, some of them with no edits;
+        # each batch is checked as drawn and with some edits made no-ops
+        rng, noop_rng = random.Random(61), random.Random(62)
+        no_edits = insertion_slots = noop_edits = equal_length_slots = 0
         for _ in range(40):
             samples = []
             for _ in range(20):
@@ -222,20 +223,49 @@ class TestCorpusStats:
                     for aid, edits in random_ref_sets(rng, len(source), 2, 10)
                 }
                 samples.append(AnnotatedSample(source, annotations))
-            got = corpus_stats(samples)
-            assert got == corpus_stats_oracle(samples)
-            chunked = [
-                partition(s.source, (), [(aid, s.annotations[aid]) for aid in s.annotator_ids])
-                for s in samples
-            ]
-            assert got["avg_changed_chunk_length"] == compute_ell(chunked)
-            no_edits += sum(not es for s in samples for es in s.annotations.values())
-            insertion_slots += sum(
-                cs.boundary_spans[idx][0] == cs.boundary_spans[idx][1]
-                for cs in chunked
-                for idx in cs.changed_indices
-            )
+            for batch in samples, [with_noop_edits(noop_rng, s) for s in samples]:
+                got = corpus_stats(batch)
+                assert got == corpus_stats_oracle(batch)
+                chunked = [
+                    partition(s.source, (), [(aid, s.annotations[aid]) for aid in s.annotator_ids])
+                    for s in batch
+                ]
+                assert got["avg_changed_chunk_length"] == compute_ell(chunked)
+                no_edits += sum(not es for s in batch for es in s.annotations.values())
+                insertion_slots += sum(
+                    cs.boundary_spans[idx][0] == cs.boundary_spans[idx][1]
+                    for cs in chunked
+                    for idx in cs.changed_indices
+                )
+                for s, cs in zip(batch, chunked):
+                    for edits in s.annotations.values():
+                        noop_edits += sum(e.replacement == s.source[e.start : e.end] for e in edits)
+                        for idx in cs.changed_indices:
+                            a, b = cs.boundary_spans[idx]
+                            inside = [e for e in edits if a <= e.start and e.end <= b]
+                            equal_length_slots += len(inside) > 1 and not sum(
+                                len(e.replacement) - (e.end - e.start) for e in inside
+                            )
+        # the branches of corpus_stats' walk: an edit-free reference, a no-op
+        # edit, and a slot where one reference's edits keep the span's length
         assert no_edits > 100 and insertion_slots > 100
+        assert noop_edits > 100 and equal_length_slots > 100
+
+
+def with_noop_edits(rng, sample):
+    """``sample`` with some of its edits replaced by their own source span."""
+    return AnnotatedSample(
+        sample.source,
+        {
+            aid: tuple(
+                Edit(e.start, e.end, sample.source[e.start : e.end])
+                if e.start < e.end and rng.random() < 0.3
+                else e
+                for e in edits
+            )
+            for aid, edits in sample.annotations.items()
+        },
+    )
 
 
 def corpus_stats_oracle(samples):

@@ -642,6 +642,21 @@ class TestStats:
         table = dict(line.split("\t") for line in out.strip().splitlines())
         assert table["sentences"] == "1"
 
+    def test_empty_reference_file_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "ref.m2").write_text("", encoding="utf-8")
+        code, out, err = run(capsys, ["stats", str(tmp_path / "ref.m2")])
+        assert (code, out) == (3, "")
+        assert err.strip() == "chunkeval: no samples left to stats"
+
+    def test_every_sample_skipped_is_data_error(self, tmp_path, capsys):
+        # the second block of REF_M2 alone: one annotator with edits
+        refs = tmp_path / "ref.m2"
+        refs.write_text(REF_M2.split("\n\n")[1], encoding="utf-8")
+        code, out, err = run(capsys, ["stats", str(refs), "--drop-unchanged-refs"])
+        assert (code, out) == (3, "")
+        assert "skipped 1 sample(s)" in err
+        assert err.strip().endswith("chunkeval: no samples left to stats")
+
 
 class TestCorrelate:
     def test_simple_tables(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -257,6 +258,92 @@ class TestParseM2:
         samples = parse_m2(text)
         assert samples[0].annotations[0][0].replacement == ("今日",)
         assert emit_m2(samples) == text + "\n"
+
+
+def parse_m2_by_constructor(text):
+    """``parse_m2`` for well-formed lines: each block through ``AnnotatedSample``."""
+    samples, source = [], None
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if line.startswith("S "):
+            source, block_line, annotations = tokenize(line[2:]), lineno, {}
+        elif line.startswith("A "):
+            span, label, repl, _, _, aid = line[2:].split("|||")
+            edits = annotations.setdefault(int(aid), [])
+            if label != "noop":
+                start, end = map(int, span.split())
+                replacement = () if repl == "-NONE-" else tokenize(repl)
+                edits.append(Edit(start, end, replacement, label, int(aid)))
+        elif source is not None:
+            annotations = {aid: tuple(edits) for aid, edits in annotations.items()}
+            try:
+                samples.append(AnnotatedSample(source, annotations))
+            except (BoundsError, OverlapError) as exc:
+                raise ParseError(str(exc), block_line) from exc
+            source = None
+    return samples
+
+
+def shuffled_m2_block(rng, vocab):
+    """An M2 block with its A lines shuffled, sometimes with an extra edit.
+
+    The extra edit is a second insertion at an insertion point of the same
+    annotator, or a random edit that may overlap one of theirs.
+    """
+    source = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 8)))
+    refs = dict(random_ref_sets(rng, len(source), 1, 4))
+    aid = rng.choice(list(refs))
+    points = [e.start for e in refs[aid] if e.start == e.end]
+    if points and rng.random() < 0.3:
+        point = rng.choice(points)
+        refs[aid].append(Edit(point, point, (rng.choice(vocab),)))
+    elif refs[aid] and rng.random() < 0.3:
+        start = rng.randrange(len(source))
+        refs[aid].append(Edit(start, rng.randint(start + 1, len(source)), ()))
+    lines = []
+    for aid, edits in refs.items():
+        if not edits:
+            lines.append(f"A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||{aid}")
+        for e in edits:
+            repl = " ".join(e.replacement) or "-NONE-"
+            lines.append(f"A {e.start} {e.end}|||R:X|||{repl}|||REQUIRED|||-NONE-|||{aid}")
+    rng.shuffle(lines)
+    return "\n".join(["S " + " ".join(source)] + lines) + "\n\n"
+
+
+def _m2_edit_lines(block):
+    return [line.split("|||") for line in block.split("\n") if line.startswith("A ")]
+
+
+def test_parse_m2_matches_constructor_on_shuffled_blocks():
+    rng = random.Random(83)
+    seen = dict.fromkeys(
+        ["out of order", "interleaved", "two insertions", "overlap", "not str.split"], 0
+    )
+    for _ in range(1500):
+        # now and then a token that str.split would break, or a non-ASCII one
+        vocab = VOCAB + ["q\x1cr", "é"] if rng.random() < 0.1 else VOCAB
+        blocks = [shuffled_m2_block(rng, vocab) for _ in range(rng.randint(1, 3))]
+        text = "".join(blocks)
+        try:
+            expected = parse_m2_by_constructor(text)
+        except ParseError as exc:
+            expected = (str(exc), exc.line)
+            seen["two insertions" if "two insertions" in str(exc) else "overlap"] += 1
+        try:
+            got = parse_m2(text)
+        except ParseError as exc:
+            got = (str(exc), exc.line)
+        assert got == expected
+        seen["not str.split"] += vocab is not VOCAB
+        for block in blocks:
+            fields = _m2_edit_lines(block)
+            ids = [f[5] for f in fields]
+            seen["interleaved"] += len(list(itertools.groupby(ids))) > len(set(ids))
+            spans = {}
+            for f in fields:
+                spans.setdefault(f[5], []).append(tuple(map(int, f[0][2:].split())))
+            seen["out of order"] += any(sp != sorted(sp) for sp in spans.values())
+    assert min(seen.values()) >= 100, seen
 
 
 class TestEmitM2:

@@ -1,17 +1,31 @@
-"""The runtime stays on the standard library: no dependencies, no other imports."""
+"""The runtime stays on the standard library: no dependencies, no other imports.
+
+The package's ``__version__`` is the version ``pyproject.toml`` declares.
+"""
 
 import ast
 import re
 import sys
 from pathlib import Path
 
+import chunkeval
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_runtime_declares_no_dependencies():
+def _project_table() -> str:
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    return re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+
+
+def test_runtime_declares_no_dependencies():
+    project = _project_table()
     assert re.findall(r"^dependencies\b.*$", project, re.M) == ["dependencies = []"]
+
+
+def test_version_matches_the_project_version():
+    version = re.search(r'^version\s*=\s*"([^"]*)"\s*$', _project_table(), re.M).group(1)
+    assert chunkeval.__version__ == version
 
 
 def test_package_imports_only_the_standard_library():
