@@ -156,10 +156,12 @@ def apply_edits(source: Sequence[str], edits: Iterable[Edit]) -> TokenSeq:
 def parse_m2(text: str) -> list[AnnotatedSample]:
     """Parse an M2 file into one AnnotatedSample per ``S`` block.
 
-    Each edit is compared with the previous edit of its annotator as it is
-    read. A block whose edits are all in order and disjoint reaches
-    ``AnnotatedSample`` as ``_CheckedEdits``; any other block is sorted and
-    checked there, which names the overlap.
+    Each distinct span, annotator and replacement field is parsed once per
+    call; the checks that depend on the sentence or the line run on every
+    line. Each edit is compared with the previous edit of its annotator as
+    it is read. A block whose edits are all in order and disjoint is built
+    directly, holding ``_CheckedEdits``; any other block is sorted and
+    checked by ``AnnotatedSample``, which names the overlap.
     """
     samples: list[AnnotatedSample] = []
     source: TokenSeq | None = None
@@ -168,6 +170,11 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
     noop_ids: set[int] = set()
     in_order = True
     split = (lambda s: tuple(s.split())) if _splits_plainly(text) else tokenize
+    # raw field -> parsed value, kept only for fields that parsed cleanly;
+    # local to the call, so nothing parsed outlives the text it came from
+    spans: dict[str, tuple[int, int]] = {}
+    annotators: dict[str, int] = {}
+    replacements: dict[str, TokenSeq] = {_NONE_FIELD: ()}
 
     def flush():
         nonlocal source, edits, noop_ids, in_order
@@ -179,29 +186,50 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
                     f"annotator {aid} has both a noop record and edits", block_line
                 )
             edits.setdefault(aid, [])
-        checked = _CheckedEdits if in_order else tuple
-        annotations = {aid: checked(es) if es else () for aid, es in edits.items()}
-        try:
-            samples.append(AnnotatedSample(source, annotations))
-        except (BoundsError, OverlapError) as exc:
-            raise ParseError(str(exc), block_line) from exc
+        if in_order:
+            # every edit was bounds- and order-checked as it was read
+            sample = object.__new__(AnnotatedSample)
+            object.__setattr__(sample, "source", source)
+            object.__setattr__(
+                sample,
+                "annotations",
+                {aid: _CheckedEdits(es) if es else () for aid, es in edits.items()},
+            )
+            samples.append(sample)
+        else:
+            try:
+                samples.append(
+                    AnnotatedSample(source, {aid: tuple(es) for aid, es in edits.items()})
+                )
+            except (BoundsError, OverlapError) as exc:
+                raise ParseError(str(exc), block_line) from exc
         source, edits, noop_ids, in_order = None, {}, set(), True
 
     for lineno, line in enumerate(split_lines(text), 1):
         if line.startswith("A ") and source is not None:
-            fields = line[2:].split("|||")
+            # fields[0] keeps the "A " prefix
+            fields = line.split("|||")
             if len(fields) < 6:
                 raise ParseError(f"expected 6 '|||' fields, got {len(fields)}", lineno)
-            span = fields[0].split()
-            if len(span) != 2:
-                raise ParseError(f"bad span field {fields[0]!r}", lineno)
-            try:
-                start, end = int(span[0]), int(span[1])
-                annotator = int(fields[5])
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            if annotator < 0:
-                raise ParseError(f"negative annotator id {annotator}", lineno)
+            span = spans.get(fields[0])
+            if span is None:
+                parts = fields[0][2:].split()
+                if len(parts) != 2:
+                    raise ParseError(f"bad span field {fields[0][2:]!r}", lineno)
+                try:
+                    span = spans[fields[0]] = int(parts[0]), int(parts[1])
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno) from exc
+            start, end = span
+            annotator = annotators.get(fields[5])
+            if annotator is None:
+                try:
+                    annotator = int(fields[5])
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno) from exc
+                if annotator < 0:
+                    raise ParseError(f"negative annotator id {annotator}", lineno)
+                annotators[fields[5]] = annotator
             type_label = fields[1]
             if type_label == NOOP_TYPE:
                 if (start, end) != (-1, -1):
@@ -215,7 +243,9 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
                     f"edit [{start}, {end}) outside source of length {len(source)}", lineno
                 )
             # a literally empty replacement field is tolerated as a deletion
-            replacement = () if fields[2] == _NONE_FIELD else split(fields[2])
+            replacement = replacements.get(fields[2])
+            if replacement is None:
+                replacement = replacements[fields[2]] = split(fields[2])
             if start == end and not replacement:
                 raise ParseError("insertion with empty replacement", lineno)
             # every field is checked above, so Edit.__post_init__ is not run
@@ -312,7 +342,7 @@ def split_lines(text: str) -> list[str]:
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
-    return [line.rstrip("\r") for line in lines]
+    return [line.rstrip("\r") for line in lines] if "\r" in text else lines
 
 
 def load_parallel(src_text: str, tgt_text: str) -> list[tuple[TokenSeq, TokenSeq]]:

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 
+import m2_oracle
 import pytest
 from conftest import VOCAB, random_edit_set, random_ref_sets, random_tokens
 
@@ -346,6 +347,166 @@ def test_parse_m2_matches_constructor_on_shuffled_blocks():
     assert min(seen.values()) >= 100, seen
 
 
+# Field values that parse_m2 must reject, or must accept only on some lines.
+BAD_SPANS = ["x", "1", "1 2 3", "-2", "-2 1", "1 x"]
+BAD_ANNOTATORS = ["x", "1", "1 2 3", "-2", "-1", ""]
+M2_MUTATIONS = (
+    "span", "annotator", "noop span", "noop conflict", "-1 span", "out of bounds",
+    "repeat", "extra field", "missing field", "empty insertion",
+)
+
+
+def _mutated_line(rng, fields, source_len):
+    """An A line's fields with one field broken, or a line added after it."""
+    kind = rng.choice(M2_MUTATIONS)
+    if kind == "span":
+        fields[0] = rng.choice(BAD_SPANS)
+    elif kind == "annotator":
+        fields[5] = rng.choice(BAD_ANNOTATORS)
+    elif kind == "noop span":
+        fields[1] = "noop"
+    elif kind == "noop conflict":
+        return [fields, ["-1 -1", "noop", "-NONE-", "REQUIRED", "-NONE-", fields[5]]]
+    elif kind == "-1 span":
+        fields[0] = rng.choice(["-1 -1", "-1 1", "1 -1"])
+    elif kind == "out of bounds":
+        start = rng.randint(0, source_len)
+        fields[0] = f"{start} {rng.randint(source_len + 1, source_len + 3)}"
+    elif kind == "repeat":
+        return [fields, list(fields)]
+    elif kind == "extra field":
+        fields.append("x")
+    elif kind == "missing field":
+        del fields[rng.randrange(len(fields)) :]
+    else:
+        start = rng.randint(0, source_len)
+        fields[0], fields[2] = f"{start} {start}", "-NONE-"
+    return [fields]
+
+
+def fuzz_m2_text(rng):
+    """Seeded M2 text over a short vocabulary, some of whose lines are broken.
+
+    Span strings recur across sentences of different lengths; A lines are
+    now and then shuffled, broken, repeated or joined by a noop record;
+    separators are sometimes whitespace-only; line ends are sometimes CRLF.
+    """
+    vocab = VOCAB + ["q\x1cr", "é"] if rng.random() < 0.2 else VOCAB
+    blocks = []
+    for _ in range(rng.randint(1, 4)):
+        source = [rng.choice(vocab) for _ in range(rng.randint(1, 6))]
+        lines = []
+        for aid, edits in random_ref_sets(rng, len(source), 1, 4):
+            if not edits:
+                lines.append(["-1 -1", "noop", "-NONE-", "REQUIRED", "-NONE-", str(aid)])
+            for e in edits:
+                repl = " ".join(rng.choice(vocab) for _ in e.replacement) or "-NONE-"
+                label = rng.choice(["R:X", "M:Y", "UNK"])
+                lines.append([f"{e.start} {e.end}", label, repl, "REQUIRED", "-NONE-", str(aid)])
+        if rng.random() < 0.3:
+            rng.shuffle(lines)
+        fields = []
+        for f in lines:
+            fields += _mutated_line(rng, f, len(source)) if rng.random() < 0.04 else [f]
+        block = ["S " + " ".join(source)] + ["A " + "|||".join(f) for f in fields]
+        separator = rng.choice(["", "", " ", "\t", " \x0b"]) + "\n"
+        # now and then an empty source, an A line first, a stray line, or no separator
+        broken = rng.randrange(40)
+        if broken == 0:
+            block[0] = rng.choice(["S", "S ", "S \t"])
+        elif broken == 1:
+            block.insert(0, block.pop())
+        elif broken == 2:
+            separator = rng.choice(["x\n", "T a\n", "s a\n"])
+        elif broken == 3:
+            separator = ""
+        blocks.append("\n".join(block) + "\n" + separator)
+    text = "".join(blocks)
+    if rng.random() < 0.2:
+        text = text.replace("\n", "\r\n")
+    elif rng.random() < 0.2:
+        text = "".join(line + rng.choice(["\n", "\r\n"]) for line in text.split("\n")[:-1])
+    return text
+
+
+def test_parse_m2_matches_oracle_on_fuzzed_text():
+    rng = random.Random(113)
+    seen: dict[str, int] = {}
+    for _ in range(3000):
+        text = fuzz_m2_text(rng)
+        outcomes = []
+        for parse in (m2_oracle.parse_m2, parse_m2):
+            try:
+                outcomes.append(parse(text))
+            except ParseError as exc:
+                outcomes.append((str(exc), exc.line))
+        expected, got = outcomes
+        assert got == expected, repr(text)
+        if isinstance(expected, list):
+            assert repr(got) == repr(expected)
+            # _CheckedEdits exactly where the oracle's constructor kept them
+            kinds = [
+                [type(es) for s in samples for es in s.annotations.values()]
+                for samples in outcomes
+            ]
+            assert kinds[0] == kinds[1]
+            key = "parsed"
+        else:
+            key = re.sub(r"[-\d]+|'.*'", "#", expected[0])
+        seen[key] = seen.get(key, 0) + 1
+        seen["CRLF"] = seen.get("CRLF", 0) + ("\r\n" in text)
+        seen["not str.split"] = seen.get("not str.split", 0) + ("\x1c" in text)
+    # parsed, CRLF, not str.split, and each of the 15 ParseError messages
+    assert len(seen) == 18 and min(seen.values()) >= 15, seen
+
+
+class TestParseM2Memos:
+    """Each field string is parsed once per call; checks on the line still run."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("A 2 4|||R|||x|||REQUIRED|||-NONE-|||0", "edit [2, 4) outside source of length 1"),
+            ("A -1 -1|||R|||x|||REQUIRED|||-NONE-|||0", "span -1 -1 is reserved for noop records"),
+            ("A 1 1|||M|||-NONE-|||REQUIRED|||-NONE-|||0", "insertion with empty replacement"),
+        ],
+    )
+    def test_a_field_seen_valid_is_checked_again_in_a_later_sentence(self, line, message):
+        text = (
+            "S a b c d\n"
+            "A 2 4|||R|||x|||REQUIRED|||-NONE-|||0\n"
+            "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||1\n"
+            "A 0 1|||U|||-NONE-|||REQUIRED|||-NONE-|||2\n"
+            "A 1 1|||M|||y|||REQUIRED|||-NONE-|||2\n\n"
+            "S a\n" + line + "\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_m2(text)
+        assert (str(err.value), err.value.line) == (f"line 8: {message}", 8)
+
+    @pytest.mark.parametrize("field", ["x", "-3", "0 1"])
+    def test_a_repeated_bad_annotator_field_raises_at_its_first_line(self, field):
+        line = f"A 0 1|||R|||x|||REQUIRED|||-NONE-|||{field}\n"
+        text = "S a\nA 0 1|||R|||y|||REQUIRED|||-NONE-|||0\n\nS a b\n" + line + line
+        with pytest.raises(ParseError) as err:
+            parse_m2(text)
+        assert err.value.line == 5
+        with pytest.raises(ParseError) as oracle_err:
+            m2_oracle.parse_m2(text)
+        assert str(err.value) == str(oracle_err.value)
+
+    def test_memos_are_local_to_each_call(self):
+        line = "A 0 1|||R|||p q|||REQUIRED|||-NONE-|||0\n"
+        first, second = parse_m2("S a b\n" + line + "\nS c\n" + line)
+        (other,) = parse_m2("S a\x1cb c\n" + line)
+        assert other.source == ("a\x1cb", "c")
+        replacements = [s.annotations[0][0].replacement for s in (first, second, other)]
+        assert replacements == [("p", "q")] * 3
+        # one tuple per distinct field within a call, none shared across calls
+        assert replacements[0] is replacements[1]
+        assert replacements[2] is not replacements[0]
+
+
 class TestEmitM2:
     def test_exact_block(self):
         assert emit_m2(parse_m2(SINGLE)) == SINGLE + "\n"
@@ -490,6 +651,20 @@ class TestLoadParallel:
             (("d",), ("d",)),
         ]
         assert split_lines(f"a{char}b\n\nc\r\n") == [f"a{char}b", "", "c"]
+
+
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        ("a\r\nb\nc\r\n", ["a", "b", "c"]),
+        ("a\rb\nc\r\n", ["a\rb", "c"]),
+        ("a\rb\n\nc", ["a\rb", "", "c"]),
+        ("a\nb\n\n", ["a", "b", ""]),
+        ("", []),
+    ],
+)
+def test_split_lines_strips_only_a_trailing_cr(text, lines):
+    assert split_lines(text) == m2_oracle.split_lines(text) == lines
 
 
 class TestDropUnchangedReferences:
