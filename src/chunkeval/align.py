@@ -10,9 +10,7 @@ from collections.abc import Sequence
 from .corpus import Edit
 
 
-def extract_edits(
-    source: Sequence[str], target: Sequence[str], annotator_id: int = 0
-) -> list[Edit]:
+def extract_edits(source: Sequence[str], target: Sequence[str]) -> list[Edit]:
     """Edits of the minimal-cost alignment of ``source`` to ``target``.
 
     The backtrace prefers match > substitute > delete > insert at every
@@ -57,7 +55,7 @@ def extract_edits(
     while i > 0 or j > 0:
         if i > 0 and j > 0 and s[i - 1] == t[j - 1]:
             if run:
-                edits.append(Edit(i, run[0], t[j : run[1]], None, annotator_id))
+                edits.append(Edit(i, run[0], t[j : run[1]]))
                 run = None
             if i == j <= p:
                 break  # the rest of the path matches the shared prefix
@@ -73,7 +71,7 @@ def extract_edits(
         else:
             j -= 1
     if run:
-        edits.append(Edit(0, run[0], t[: run[1]], None, annotator_id))
+        edits.append(Edit(0, run[0], t[: run[1]]))
     edits.reverse()
     return edits
 

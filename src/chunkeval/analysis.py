@@ -10,7 +10,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .chunker import _splice_slots, slot_spans
+from .chunker import slot_spans, splice_slots
 from .corpus import AnnotatedSample, split_lines
 from .errors import (
     DegenerateError,
@@ -158,7 +158,7 @@ def corpus_stats(samples: Sequence[AnnotatedSample]) -> dict:
                 if growth or (
                     first.replacement != source[first.start : first.end]
                     if j == i + 1
-                    else _splice_slots(source, edits[i:j], [(a, b, ())]) != (source[a:b],)
+                    else splice_slots(source, edits[i:j], [(a, b, ())]) != (source[a:b],)
                 ):
                     if a < b:
                         n_unchanged -= 1
@@ -294,7 +294,8 @@ def load_metric_scores(text: str, variant: str | None = None) -> dict[str, float
 
     Report rows are keyed by their variant column; when the report holds
     several variants, ``variant`` selects one, and ``headline_column`` names
-    the column it contributes.
+    the column it contributes. A line equal to the header is skipped, so
+    concatenated reports read as one.
     """
     lines = [
         (lineno, line)
@@ -316,6 +317,8 @@ def load_metric_scores(text: str, variant: str | None = None) -> dict[str, float
     idx = {name: k for k, name in enumerate(header)}
     rows = []
     for lineno, line in lines[1:]:
+        if line == head:
+            continue
         cells = line.split("\t")
         if len(cells) != len(header):
             raise ParseError(f"expected {len(header)} columns", lineno)

@@ -124,7 +124,7 @@ def slot_spans(
     return tuple(spans), tuple(changed)
 
 
-def _splice_slots(
+def splice_slots(
     source: TokenSeq, edits: tuple[Edit, ...], slots: list[tuple[int, int, TokenSeq]]
 ) -> tuple[TokenSeq, ...]:
     """The segment of one sequence at each slot ``(a, b, source[a:b])``.
@@ -168,7 +168,7 @@ def partition(
     edit_sets = [check_edits(hyp_edits, n)] + [edits for _, edits in refs]
     spans, changed = slot_spans(n, edit_sets)
     slots = [(a, b, source[a:b]) for a, b in (spans[idx] for idx in changed)]
-    segments = tuple(_splice_slots(source, edits, slots) for edits in edit_sets)
+    segments = tuple(splice_slots(source, edits, slots) for edits in edit_sets)
     ids = tuple(aid for aid, _ in refs)
     return ChunkedSample(source, spans, changed, ids, segments)
 

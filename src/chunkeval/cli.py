@@ -70,9 +70,11 @@ def _weight_type(name: str):
 
 
 def _system_name(text: str) -> str:
-    """Argparse type for a report's system name: one TSV cell on one line."""
-    if any(c in text for c in "\t\r\n"):
-        raise argparse.ArgumentTypeError(f"expected no tab, CR or LF, got {text!r}")
+    """Argparse type for a report's system name: one TSV cell, not a comment."""
+    if any(c in text for c in "\t\r\n") or text.startswith("#"):
+        raise argparse.ArgumentTypeError(
+            f"expected no tab, CR or LF and no leading '#', got {text!r}"
+        )
     return text
 
 

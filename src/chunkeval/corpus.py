@@ -57,14 +57,15 @@ class Edit:
 
     ``start == end`` denotes a pure insertion at that position and requires a
     non-empty replacement; a deletion has an empty replacement over a
-    non-empty span. A no-op is never represented as an Edit.
+    non-empty span. A no-op is never represented as an Edit. An edit holds
+    the fields of its M2 line except the annotator, which is the key it is
+    filed under; an unlabelled edit holds ``UNKNOWN_TYPE``.
     """
 
     start: int
     end: int
     replacement: tuple[str, ...]
-    type_label: str | None = None
-    annotator_id: int = 0
+    type_label: str = UNKNOWN_TYPE
 
     def __post_init__(self):
         object.__setattr__(self, "replacement", tuple(self.replacement))
@@ -72,12 +73,12 @@ class Edit:
             raise BoundsError(f"bad edit interval [{self.start}, {self.end})")
         if self.start == self.end and not self.replacement:
             raise ValueError("empty edit: insertion must have a replacement")
-        if self.annotator_id < 0:
-            raise ValueError(f"negative annotator id {self.annotator_id}")
+        if not isinstance(self.type_label, str):
+            raise TypeError(f"type label must be a str, got {self.type_label!r}")
 
 
 # Slot setters that build a checked Edit without running its __post_init__.
-_set_start, _set_end, _set_replacement, _set_type_label, _set_annotator_id = (
+_set_start, _set_end, _set_replacement, _set_type_label = (
     getattr(Edit, name).__set__ for name in Edit.__slots__
 )
 
@@ -90,24 +91,17 @@ class _CheckedEdits(tuple):
 
 
 def check_edits(edits: Iterable[Edit], source_len: int) -> tuple[Edit, ...]:
-    """Sort edits by (start, end) and verify bounds and non-overlap.
+    """Sort edits by (start, end), then check every bound, then every pair.
 
-    Edits already in order and disjoint are checked in one pass. Of
-    ``_CheckedEdits``, only the last end is checked again.
+    Of ``_CheckedEdits``, only the last end is checked again.
     """
     checked = type(edits) is _CheckedEdits
-    ordered = edits if checked else tuple(edits)
-    # a bad pair overlaps, is out of order, or is two insertions at one point
-    disjoint = checked or len(ordered) < 2 or not any(
-        a.end > b.start or a.start == b.end for a, b in zip(ordered, ordered[1:])
-    )
-    if not disjoint:
-        ordered = tuple(sorted(ordered, key=lambda e: (e.start, e.end)))
-    # the ends of disjoint edits ascend, so the last end is the largest
-    if ordered and (ordered[-1].end if disjoint else max(e.end for e in ordered)) > source_len:
+    ordered = edits if checked else tuple(sorted(edits, key=lambda e: (e.start, e.end)))
+    # the ends of checked edits ascend, so the last end is the largest
+    if ordered and (ordered[-1].end if checked else max(e.end for e in ordered)) > source_len:
         e = next(e for e in ordered if e.end > source_len)
         raise BoundsError(f"edit [{e.start}, {e.end}) exceeds source length {source_len}")
-    for a, b in () if disjoint else zip(ordered, ordered[1:]):
+    for a, b in () if checked else zip(ordered, ordered[1:]):
         if a.end > b.start:
             raise OverlapError(
                 f"edits [{a.start}, {a.end}) and [{b.start}, {b.end}) overlap"
@@ -136,9 +130,9 @@ class AnnotatedSample:
     def annotator_ids(self) -> list[int]:
         return sorted(self.annotations)
 
-    def reference(self, annotator_id: int) -> TokenSeq:
-        """The corrected sentence of one annotator."""
-        return apply_edits(self.source, self.annotations[annotator_id])
+    def reference(self, aid: int) -> TokenSeq:
+        """The corrected sentence of annotator ``aid``."""
+        return apply_edits(self.source, self.annotations[aid])
 
 
 def apply_edits(source: Sequence[str], edits: Iterable[Edit]) -> TokenSeq:
@@ -254,7 +248,6 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
             _set_end(edit, end)
             _set_replacement(edit, replacement)
             _set_type_label(edit, type_label)
-            _set_annotator_id(edit, annotator)
             previous = edits.get(annotator)
             if previous is None:
                 edits[annotator] = [edit]
@@ -288,8 +281,7 @@ def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
     Whatever would read back differently raises DataError: an empty source,
     a token that is empty or holds ASCII whitespace or ``|||``, a lone
     ``-NONE-`` replacement, a type label ``noop`` or holding ``|||`` or LF,
-    a negative annotator key, or an edit whose ``annotator_id`` is not the
-    key it is filed under.
+    or a negative annotator key.
     """
     blocks: list[str] = []
     for number, sample in enumerate(samples, 1):
@@ -307,13 +299,8 @@ def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
                 )
                 continue
             for e in annots:
-                if e.annotator_id != aid:
-                    raise DataError(
-                        f"sample {number}: cannot write an edit of annotator "
-                        f"{e.annotator_id} as annotator {aid} to M2"
-                    )
                 repl = " ".join(e.replacement)
-                label = e.type_label if e.type_label is not None else UNKNOWN_TYPE
+                label = e.type_label
                 if tokenize(repl) != e.replacement or e.replacement == (_NONE_FIELD,) or (
                     "|||" in repl + label or "\n" in label or label == NOOP_TYPE
                 ):

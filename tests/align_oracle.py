@@ -67,7 +67,7 @@ def align(source: Sequence[str], target: Sequence[str]) -> list[AlignOp]:
     return ops
 
 
-def ops_to_edits(ops: Sequence[AlignOp], annotator_id: int = 0) -> list[Edit]:
+def ops_to_edits(ops: Sequence[AlignOp]) -> list[Edit]:
     """Merge maximal runs of non-match ops into single edits.
 
     Matches are discarded; each run becomes one edit whose span covers the
@@ -86,8 +86,6 @@ def ops_to_edits(ops: Sequence[AlignOp], annotator_id: int = 0) -> list[Edit]:
         replacement = tuple(
             op.tgt_token for op in run if op.tgt_token is not None
         )
-        edits.append(
-            Edit(run[0].src_start, run[-1].src_end, replacement, None, annotator_id)
-        )
+        edits.append(Edit(run[0].src_start, run[-1].src_end, replacement))
         i = j
     return edits

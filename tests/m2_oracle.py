@@ -14,7 +14,6 @@ from chunkeval.corpus import (
     Edit,
     TokenSeq,
     _CheckedEdits,
-    _set_annotator_id,
     _set_end,
     _set_replacement,
     _set_start,
@@ -96,7 +95,6 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
             _set_end(edit, end)
             _set_replacement(edit, replacement)
             _set_type_label(edit, type_label)
-            _set_annotator_id(edit, annotator)
             previous = edits.get(annotator)
             if previous is None:
                 edits[annotator] = [edit]

@@ -263,7 +263,7 @@ def test_criterion_5_property_suite():
                 source,
                 {
                     aid: tuple(
-                        Edit(e.start, e.end, e.replacement, "T", aid) for e in edits
+                        Edit(e.start, e.end, e.replacement, "T") for e in edits
                     )
                     for aid, edits in refs
                 },

@@ -125,8 +125,8 @@ def test_extract_apply_round_trip():
         assert apply_edits(src, extract_edits(src, tgt)) == tgt
 
 
-def full_dp_edits(source, target, annotator_id=0):
-    return ops_to_edits(align(source, target), annotator_id)
+def full_dp_edits(source, target):
+    return ops_to_edits(align(source, target))
 
 
 class TestMatchesFullDP:
@@ -148,7 +148,7 @@ class TestMatchesFullDP:
                 tgt = tuple(tgt)
             else:
                 tgt = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 9)))
-            assert extract_edits(src, tgt, 4) == full_dp_edits(src, tgt, 4), (src, tgt)
+            assert extract_edits(src, tgt) == full_dp_edits(src, tgt), (src, tgt)
 
     @pytest.mark.parametrize(
         "source, target",

@@ -351,6 +351,7 @@ class TestEvaluate:
             ("--clip-fn", "0.5,inf"),
             ("--beta", "1e200"),
             ("--system", "x\ty"),
+            ("--system", "#s1"),
         ],
     )
     def test_bad_weight_values_are_rejected_where_parsed(
@@ -435,17 +436,18 @@ class TestEvaluate:
         assert report_rows(out)[0]["system"] == "ref0-as-hyp"
 
     def test_bad_default_system_name_is_usage_error(self, data, tmp_path, capsys):
-        hyp = tmp_path / "sys\tone.txt"
-        hyp.write_text(HYP_REF0, encoding="utf-8")
-        argv = ["evaluate", str(hyp), str(data / "ref.m2")]
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 2
-        message = capsys.readouterr().err
-        assert "hypothesis file stem" in message and "--system" in message
-        code, out, _ = run(capsys, argv + ["--system", "sys-one"])
-        assert code == 0
-        assert report_rows(out)[0]["system"] == "sys-one"
+        for stem in ("sys\tone", "#sys"):
+            hyp = tmp_path / f"{stem}.txt"
+            hyp.write_text(HYP_REF0, encoding="utf-8")
+            argv = ["evaluate", str(hyp), str(data / "ref.m2")]
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            message = capsys.readouterr().err
+            assert "hypothesis file stem" in message and "--system" in message
+            code, out, _ = run(capsys, argv + ["--system", "sys-one"])
+            assert code == 0
+            assert report_rows(out)[0]["system"] == "sys-one"
 
     @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
     def test_config_lines_break_at_newline_only(self, data, tmp_path, capsys, char):
@@ -548,7 +550,7 @@ class TestChunks:
 
         ann = {
             aid: tuple(
-                Edit(e.start, e.end, e.replacement, "T", aid)
+                Edit(e.start, e.end, e.replacement, "T")
                 for e in extract_edits(TOP_SRC, ref)
             )
             for aid, ref in ((0, TOP_REF1), (1, TOP_REF2))
@@ -744,6 +746,41 @@ class TestCorrelate:
         assert code == 0
         payload = json.loads(out)
         assert payload["pearson"] > 0.8
+
+    def test_concatenated_reports_read_as_one(self, data, tmp_path, capsys):
+        # each repeated header is skipped, not read as a row of variant 'variant'
+        hyps = {
+            "good": HYP_REF0,
+            "lazy": HYP_SOURCE,
+            "half": "technologies were improved\nIt is good\n",
+            "was": "technologies have improved\nit was good\n",
+        }
+        reports = []
+        for name, text in hyps.items():
+            (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+            code, out, _ = run(
+                capsys, ["evaluate", str(tmp_path / f"{name}.txt"), str(data / "ref.m2")]
+            )
+            assert code == 0
+            reports.append(out.splitlines())
+        header = next(l for l in reports[0] if not l.startswith("#"))
+        rows = [report[-1] for report in reports]
+        assert len({row.split("\t")[11] for row in rows}) == 4  # distinct F_beta
+        (tmp_path / "concat.tsv").write_text(
+            "".join("\n".join(report) + "\n" for report in reports), encoding="utf-8"
+        )
+        (tmp_path / "merged.tsv").write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        (tmp_path / "human.tsv").write_text(
+            "system\tscore\ngood\t4.0\nlazy\t1.0\nhalf\t3.0\nwas\t2.0\n", encoding="utf-8"
+        )
+        results = [
+            run(capsys, ["correlate", str(tmp_path / name), str(tmp_path / "human.tsv")])
+            for name in ("concat.tsv", "merged.tsv")
+        ]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, err) == (0, "")
+        assert "half\t0.5556\t3.0" in out.splitlines()
 
     @pytest.mark.parametrize(
         "metric, named",
@@ -991,7 +1028,7 @@ def _write_corpus(path, n_samples):
     for _ in range(n_samples):
         source, hyp_edits, refs = random_case(rng, min_refs=2, max_refs=4)
         annotations = {
-            aid: tuple(Edit(e.start, e.end, e.replacement, "T", aid) for e in edits)
+            aid: tuple(Edit(e.start, e.end, e.replacement, "T") for e in edits)
             for aid, edits in refs
         }
         samples.append(AnnotatedSample(source, annotations))

@@ -19,6 +19,7 @@ from chunkeval import (
     apply_edits,
     drop_unchanged_references,
     emit_m2,
+    extract_edits,
     load_parallel,
     parse_m2,
     tokenize,
@@ -160,6 +161,15 @@ class TestEditInvariants:
         with pytest.raises(BoundsError):
             Edit(2, 1, ("x",))
 
+    def test_fields_are_those_of_an_m2_edit(self):
+        # the annotator is the key an edit is filed under, not a field
+        assert Edit.__slots__ == ("start", "end", "replacement", "type_label")
+        assert Edit(0, 1, ("x",)).type_label == "UNK"
+
+    def test_label_that_is_not_a_str_rejected(self):
+        with pytest.raises(TypeError, match="type label must be a str, got None"):
+            Edit(0, 1, ("x",), None)
+
 
 SINGLE = "S a b\nA 0 1|||R:X|||c|||REQUIRED|||-NONE-|||0\n"
 
@@ -273,7 +283,7 @@ def parse_m2_by_constructor(text):
             if label != "noop":
                 start, end = map(int, span.split())
                 replacement = () if repl == "-NONE-" else tokenize(repl)
-                edits.append(Edit(start, end, replacement, label, int(aid)))
+                edits.append(Edit(start, end, replacement, label))
         elif source is not None:
             annotations = {aid: tuple(edits) for aid, edits in annotations.items()}
             try:
@@ -515,8 +525,8 @@ class TestEmitM2:
         sample = AnnotatedSample(
             ("a", "b"),
             {
-                1: (Edit(0, 1, ("x",), "T", 1),),
-                0: (Edit(1, 2, ("y",), "T", 0),),
+                1: (Edit(0, 1, ("x",), "T"),),
+                0: (Edit(1, 2, ("y",), "T"),),
             },
         )
         lines = emit_m2([sample]).splitlines()
@@ -545,12 +555,30 @@ class TestEmitM2:
             refs = random_ref_sets(rng, len(source), 0, 3)
             annotations = {
                 aid: tuple(
-                    Edit(e.start, e.end, e.replacement, "T", aid) for e in edits
+                    Edit(e.start, e.end, e.replacement, "T") for e in edits
                 )
                 for aid, edits in refs
             }
             sample = AnnotatedSample(source, annotations)
             assert parse_m2(emit_m2([sample])) == [sample]
+
+    def test_extracted_edits_round_trip(self):
+        # default labels and any keys >= 0 read back as written
+        rng = random.Random(37)
+        samples = []
+        for _ in range(300):
+            source = random_tokens(rng, 1, 8)
+            ids = sorted(rng.sample(range(12), rng.randint(1, 4)))
+            targets = [
+                source if rng.random() < 0.2 else random_tokens(rng, 0, 8) for _ in ids
+            ]
+            samples.append(
+                AnnotatedSample(
+                    source, {aid: extract_edits(source, t) for aid, t in zip(ids, targets)}
+                )
+            )
+        assert any(0 not in s.annotations for s in samples)
+        assert parse_m2(emit_m2(samples)) == samples
 
     @pytest.mark.parametrize(
         "replacement, label, named",
@@ -564,7 +592,7 @@ class TestEmitM2:
     )
     def test_edits_that_read_back_wrong_are_data_errors(self, replacement, label, named):
         fine = AnnotatedSample(("a",), {0: (Edit(0, 1, ("-NONE-", "x"), "R"),)})
-        bad = AnnotatedSample(("a", "b"), {0: (), 3: (Edit(0, 1, replacement, label, 3),)})
+        bad = AnnotatedSample(("a", "b"), {0: (), 3: (Edit(0, 1, replacement, label),)})
         with pytest.raises(DataError) as err:
             emit_m2([fine, bad])
         assert str(err.value) == f"sample 2: cannot write {named} to M2"
@@ -592,12 +620,6 @@ class TestEmitM2:
             (("a", "\t"), ("x",), "R", "'\\t'"),
             (("a", ""), ("x",), "R", "''"),
             # a whole sample whose annotator key M2 cannot carry
-            (
-                AnnotatedSample(("a", "b"), {1: (Edit(0, 1, ("x",), "R", 0),)}),
-                None,
-                None,
-                "an edit of annotator 0 as annotator 1",
-            ),
             (AnnotatedSample(("a", "b"), {-1: ()}), None, None, "annotator -1"),
         ],
     )
@@ -606,7 +628,7 @@ class TestEmitM2:
         if isinstance(source, AnnotatedSample):
             sample = source
         else:
-            sample = AnnotatedSample(source, {2: (Edit(0, 1, replacement, label, 2),)})
+            sample = AnnotatedSample(source, {2: (Edit(0, 1, replacement, label),)})
         if named is None:
             assert parse_m2(emit_m2([fine, sample])) == [fine, sample]
         else:
@@ -670,7 +692,7 @@ def test_split_lines_strips_only_a_trailing_cr(text, lines):
 class TestDropUnchangedReferences:
     def test_drops_noop_annotators(self):
         sample = AnnotatedSample(
-            ("a",), {0: (), 1: (Edit(0, 1, ("b",), None, 1),)}
+            ("a",), {0: (), 1: (Edit(0, 1, ("b",)),)}
         )
         filtered = drop_unchanged_references(sample)
         assert filtered.annotator_ids == [1]
@@ -684,11 +706,10 @@ def test_parsed_edits_always_apply():
     for _ in range(200):
         source = random_tokens(rng, 1, 8)
         refs = random_ref_sets(rng, len(source), 0, 3)
-        # each edit carries its annotator's id, which emit_m2 requires
         sample = AnnotatedSample(
             source,
             {
-                aid: tuple(Edit(e.start, e.end, e.replacement, None, aid) for e in edits)
+                aid: tuple(Edit(e.start, e.end, e.replacement) for e in edits)
                 for aid, edits in refs
             },
         )

@@ -89,3 +89,18 @@ def test_every_private_module_name_is_referenced():
                 referenced.update(alias.name for alias in node.names)
     assert len(defined) > 5  # the walk found the package's private names
     assert [(name, t) for name, t in defined if t not in referenced] == []
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    relative, private = 0, []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                relative += 1
+                private += [
+                    (name, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert relative > 10  # the walk found the package's own imports
+    assert private == []
