@@ -260,15 +260,26 @@ def correlate(
     return pearson(xs, ys), spearman(xs, ys)
 
 
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """The numbered lines of a score table, blank and ``#`` lines left out.
+
+    The first of them is the table's header, wherever it stands.
+    """
+    return [
+        (lineno, line)
+        for lineno, line in enumerate(split_lines(text), 1)
+        if line.strip() and not line.startswith("#")
+    ]
+
+
 def load_human_table(text: str) -> HumanTable:
     """Parse a TSV of ``system<TAB>score`` rows below that exact header."""
-    lines = split_lines(text)
-    if not lines or [c.strip() for c in lines[0].split("\t")] != ["system", "score"]:
-        raise ParseError("expected header 'system<TAB>score'", 1)
+    lines = _content_lines(text)
+    head_line, head = lines[0] if lines else (1, "")
+    if [c.strip() for c in head.split("\t")] != ["system", "score"]:
+        raise ParseError("expected header 'system<TAB>score'", head_line)
     scores: dict[str, float] = {}
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) != 2:
             raise ParseError(f"expected 2 columns, got {len(cells)}", lineno)
@@ -297,11 +308,7 @@ def load_metric_scores(text: str, variant: str | None = None) -> dict[str, float
     the column it contributes. A line equal to the header is skipped, so
     concatenated reports read as one.
     """
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate(split_lines(text), 1)
-        if line.strip() and not line.startswith("#")
-    ]
+    lines = _content_lines(text)
     if not lines:
         raise ParseError("empty score file", 1)
     head_line, head = lines[0]

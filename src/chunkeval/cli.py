@@ -70,10 +70,14 @@ def _weight_type(name: str):
 
 
 def _system_name(text: str) -> str:
-    """Argparse type for a report's system name: one TSV cell, not a comment."""
-    if any(c in text for c in "\t\r\n") or text.startswith("#"):
+    """Argparse type for a report's system name: one TSV cell, not a comment.
+
+    Score tables strip their names, so a padded name would match no row.
+    """
+    if any(c in text for c in "\t\r\n") or text.startswith("#") or text != text.strip():
         raise argparse.ArgumentTypeError(
-            f"expected no tab, CR or LF and no leading '#', got {text!r}"
+            f"expected no tab, CR or LF, no leading '#' and no surrounding "
+            f"whitespace, got {text!r}"
         )
     return text
 

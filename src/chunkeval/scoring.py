@@ -36,7 +36,7 @@ class WeightConfig:
     """Scale factors and clip bounds for the length-weight curves.
 
     All curves pass through weight 1.0 at ``x == ell`` before clipping.
-    TN weights have no curve and are pinned to 1 by their (1, 1) clip.
+    A TN weight is the constant 1: it has no curve and no field.
     """
 
     alpha_tp: float = 2.0
@@ -45,7 +45,6 @@ class WeightConfig:
     clip_tp: tuple[float, float] = (0.75, 1.25)
     clip_fp: tuple[float, float] = (0.75, 1.25)
     clip_fn: tuple[float, float] = (0.75, 1.25)
-    clip_tn: tuple[float, float] = (1.0, 1.0)
     ell: float = 1.0
     beta: float = 0.5
 
@@ -112,7 +111,7 @@ def default_config(variant: str) -> WeightConfig:
 def unweighted(cfg: WeightConfig) -> WeightConfig:
     """Pin every weight to 1, reducing scores to raw counts."""
     one = (1.0, 1.0)
-    return replace(cfg, clip_tp=one, clip_fp=one, clip_fn=one, clip_tn=one)
+    return replace(cfg, clip_tp=one, clip_fp=one, clip_fn=one)
 
 
 def _clip(value: float, bounds: tuple[float, float]) -> float:
@@ -138,7 +137,7 @@ def raw_weight(x: float, alpha: float, ell: float, outcome: str) -> float:
 def length_weight(x: float, cfg: WeightConfig, outcome: str) -> float:
     """Clipped length weight of a chunk of length x for one outcome."""
     if outcome == "tn":
-        return _clip(1.0, cfg.clip_tn)
+        return 1.0
     alpha = getattr(cfg, "alpha_" + outcome)
     return _clip(raw_weight(x, alpha, cfg.ell, outcome), getattr(cfg, "clip_" + outcome))
 
@@ -241,20 +240,20 @@ class _SlotScorer:
     Each slot is judged by one reference int: ``ref & 1`` means the
     reference chunk matches the hypothesis chunk, and ``ref >> 1`` is its
     length when it changed the slot. Outcomes are summed in slot order, a
-    slot's FP before the FN it owes, and the unchanged chunks' TNs last.
+    slot's FP before the FN it owes; a TN weighs 1, so ``tn_w`` is ``tn_n``.
     """
 
     def __init__(self, cfg: WeightConfig, fn_on_mismatch: str):
         self.beta = cfg.beta
         self.both = fn_on_mismatch == FN_BOTH
         self.tp, self.fp, self.fn = (_WeightTable(cfg, o) for o in ("tp", "fp", "fn"))
-        self.tn = length_weight(0, cfg, "tn")
 
     def _sum(
         self, hyps: Sequence[int], refs: Sequence[int], n_unchanged: int
-    ) -> OutcomeCounts:
-        tp, fp, fn, tn, both = self.tp, self.fp, self.fn, self.tn, self.both
-        tp_w = fp_w = fn_w = tn_w = 0.0
+    ) -> tuple:
+        """The eight ``OutcomeCounts`` totals of one reference column, in order."""
+        tp, fp, fn, both = self.tp, self.fp, self.fn, self.both
+        tp_w = fp_w = fn_w = 0.0
         tp_n = fp_n = fn_n = tn_n = 0
         for hyp, ref in zip(hyps, refs):
             if hyp:
@@ -270,42 +269,28 @@ class _SlotScorer:
                 fn_w += fn[ref >> 1]
                 fn_n += 1
             elif not hyp:
-                tn_w += tn
                 tn_n += 1
-        tn_w += n_unchanged * tn
         tn_n += n_unchanged
-        return OutcomeCounts(tp_w, fp_w, fn_w, tn_w, tp_n, fp_n, fn_n, tn_n)
+        return tp_w, fp_w, fn_w, float(tn_n), tp_n, fp_n, fn_n, tn_n
 
     def dependent(self, cs: ChunkedSample) -> tuple[OutcomeCounts, int | None]:
         columns = cs.slot_columns
         if not columns.distinct:
             return self.independent(cs), None
-        hyps = columns.hyp
-        tp, fp, fn, both = self.tp, self.fp, self.fn, self.both
-        best_aid, best_refs, best_key = None, None, None
+        best_key = None
         # equal columns score alike, so the lowest id of each stands for all
         for aid, refs in columns.distinct:
-            # only the weighted TP, FP and FN of ``_sum``, added in its order
-            tp_w = fp_w = fn_w = 0.0
-            for hyp, ref in zip(hyps, refs):
-                if hyp:
-                    if ref & 1:
-                        tp_w += tp[hyp]
-                        continue
-                    fp_w += fp[hyp]
-                    if not both:
-                        continue
-                if ref > 1:
-                    fn_w += fn[ref >> 1]
+            totals = self._sum(columns.hyp, refs, columns.n_unchanged)
+            tp_w, fp_w, fn_w = totals[:3]
             f = f_beta_formula(_share(tp_w, fp_w), _share(tp_w, fn_w), self.beta)
             key = (f, tp_w, -aid)
             if best_key is None or key > best_key:
-                best_aid, best_refs, best_key = aid, refs, key
-        return self._sum(hyps, best_refs, columns.n_unchanged), best_aid
+                best_key, best_totals, best_aid = key, totals, aid
+        return OutcomeCounts(*best_totals), best_aid
 
     def independent(self, cs: ChunkedSample) -> OutcomeCounts:
         columns = cs.slot_columns
-        return self._sum(columns.hyp, columns.merged, columns.n_unchanged)
+        return OutcomeCounts(*self._sum(columns.hyp, columns.merged, columns.n_unchanged))
 
 
 def score_sentence_dependent(

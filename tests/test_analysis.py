@@ -395,6 +395,18 @@ class TestScoreTables:
     def test_metric_scores_from_simple_table(self):
         assert load_metric_scores("system\tscore\ns1\t0.5\n") == {"s1": 0.5}
 
+    def test_header_may_follow_blank_and_comment_lines(self):
+        text = "# human scores\n\nsystem\tscore\ns1\t0.5\n# note\n\ns2\t0.25\n"
+        want = {"s1": 0.5, "s2": 0.25}
+        assert load_metric_scores(text) == want
+        assert load_human_table(text).scores == want
+        # errors name the physical line
+        for bad, line in [("# c\n\ns1\t0.5\n", 3), ("# c\nsystem\tscore\ns1\tx\n", 3)]:
+            for load in (load_metric_scores, load_human_table):
+                with pytest.raises(ParseError) as err:
+                    load(bad)
+                assert err.value.line == line
+
     def test_metric_scores_from_report(self):
         report = (
             "# ell: 2.0\n"

@@ -369,6 +369,21 @@ class TestEvaluate:
         assert out == ""
         assert f"{cfg}:1:" in err_text
 
+    @pytest.mark.parametrize("name", ["a ", " a", "a\u00a0"])
+    def test_padded_system_name_is_usage_error(self, data, tmp_path, capsys, name):
+        # score tables strip their names, so correlate could match no row
+        # named "a "; a --config value is stripped as it is read
+        argv = ["evaluate", str(data / "ref0-as-hyp.txt"), str(data / "ref.m2")]
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--system", name])
+        assert err.value.code == 2
+        assert "--system" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"system={name}\n", encoding="utf-8")
+        code, out, _ = run(capsys, argv + ["--config", str(cfg)])
+        assert code == 0
+        assert report_rows(out)[0]["system"] == "a"
+
     @pytest.mark.parametrize(
         "line, named",
         [
@@ -436,7 +451,7 @@ class TestEvaluate:
         assert report_rows(out)[0]["system"] == "ref0-as-hyp"
 
     def test_bad_default_system_name_is_usage_error(self, data, tmp_path, capsys):
-        for stem in ("sys\tone", "#sys"):
+        for stem in ("sys\tone", "#sys", "sys1 "):
             hyp = tmp_path / f"{stem}.txt"
             hyp.write_text(HYP_REF0, encoding="utf-8")
             argv = ["evaluate", str(hyp), str(data / "ref.m2")]

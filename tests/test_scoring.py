@@ -267,8 +267,22 @@ class TestMatchesSlotOracle:
                 replace(default_config(v), ell=ell)
                 for v in ("dep", "sent-dep", "sent-indep")
             ]
-            heavy_tn = replace(profiles[0], clip_tn=(1.5, 1.5))  # profiles pin TN at 1
-            for cfg in profiles + [unweighted(profiles[0]), heavy_tn]:
+            custom = WeightConfig(
+                alpha_tp=3.0,
+                alpha_fp=5.0,
+                alpha_fn=1.5,
+                clip_tp=(0.5, 2.0),
+                clip_fp=(0.2, 3.0),
+                clip_fn=(0.9, 1.1),
+                ell=ell + 0.5,
+                beta=2.0,
+            )
+            default = WeightConfig()
+            assert all(
+                getattr(custom, f.name) != getattr(default, f.name)
+                for f in dataclasses.fields(WeightConfig)
+            )
+            for cfg in profiles + [unweighted(profiles[0]), custom]:
                 for mode in FN_MODES:
                     for cs, old in zip(batch, old_batch):
                         dep, aid = score_sentence_dependent(cs, cfg, mode)
@@ -529,7 +543,6 @@ class TestWeightConfig:
         sent_ind = default_config("sent-indep-acc")
         assert sent_ind.clip_tp == (2.5, 10.0)
         assert sent_ind.clip_fp == (0.25, 1.0)
-        assert sent_ind.clip_tn == (1.0, 1.0)
 
     def test_sum_counts_keeps_raw_integers(self):
         total = sum_counts([OutcomeCounts(tp_n=2), OutcomeCounts(tp_n=3)])

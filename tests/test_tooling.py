@@ -1,14 +1,17 @@
 """The runtime stays on the standard library: no dependencies, no other imports.
 
-The package's ``__version__`` is the version ``pyproject.toml`` declares.
+The package's ``__version__`` is the version ``pyproject.toml`` declares, and
+each ``WeightConfig`` field has one ``evaluate`` flag.
 """
 
 import ast
+import dataclasses
 import re
 import sys
 from pathlib import Path
 
 import chunkeval
+from chunkeval import WeightConfig, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,3 +107,9 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                 ]
     assert relative > 10  # the walk found the package's own imports
     assert private == []
+
+
+def test_every_weight_field_has_one_evaluate_flag():
+    # a WeightConfig field that no flag sets is a knob nothing can turn
+    names = [f.name for f in dataclasses.fields(WeightConfig)]
+    assert sorted(names) == sorted(cli._WEIGHT_FLAGS)
