@@ -7,7 +7,7 @@ crossing a boundary (CC).
 """
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .chunker import slot_spans, splice_slots
@@ -260,44 +260,51 @@ def correlate(
     return pearson(xs, ys), spearman(xs, ys)
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    """The numbered lines of a score table, blank and ``#`` lines left out.
+def _table(text: str) -> Iterator[tuple[int, list[str]]]:
+    """A score table's numbered lines as stripped cells: the header, then its rows.
 
-    The first of them is the table's header, wherever it stands.
+    Blank and ``#`` lines are skipped wherever they stand, and the first
+    other line is the header. A line whose cells equal the header's is
+    skipped, so concatenated tables read as one.
     """
-    return [
-        (lineno, line)
-        for lineno, line in enumerate(split_lines(text), 1)
-        if line.strip() and not line.startswith("#")
-    ]
+    header = None
+    for lineno, line in enumerate(split_lines(text), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        cells = [c.strip() for c in line.split("\t")]
+        if header is None:
+            header = cells
+        elif cells == header:
+            continue
+        elif len(cells) != len(header):
+            raise ParseError(f"expected {len(header)} columns, got {len(cells)}", lineno)
+        yield lineno, cells
+
+
+def _scores(rows: Iterable[tuple[int, list[str]]], name: int, score: int) -> dict[str, float]:
+    """System -> finite score from the given columns, one row per system."""
+    scores: dict[str, float] = {}
+    for lineno, cells in rows:
+        system, text = cells[name], cells[score]
+        if system in scores:
+            raise ParseError(f"duplicate system {system!r}", lineno)
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError(f"expected a finite score, got {text!r}", lineno)
+        scores[system] = value
+    return scores
 
 
 def load_human_table(text: str) -> HumanTable:
     """Parse a TSV of ``system<TAB>score`` rows below that exact header."""
-    lines = _content_lines(text)
-    head_line, head = lines[0] if lines else (1, "")
-    if [c.strip() for c in head.split("\t")] != ["system", "score"]:
+    rows = _table(text)
+    head_line, header = next(rows, (1, []))
+    if header != ["system", "score"]:
         raise ParseError("expected header 'system<TAB>score'", head_line)
-    scores: dict[str, float] = {}
-    for lineno, line in lines[1:]:
-        cells = line.split("\t")
-        if len(cells) != 2:
-            raise ParseError(f"expected 2 columns, got {len(cells)}", lineno)
-        system = cells[0].strip()
-        if system in scores:
-            raise ParseError(f"duplicate system {system!r}", lineno)
-        scores[system] = _score(cells[1], lineno)
-    return HumanTable(scores)
-
-
-def _score(text: str, lineno: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ParseError(f"expected a finite score, got {text!r}", lineno)
-    return value
+    return HumanTable(_scores(rows, 0, 1))
 
 
 def load_metric_scores(text: str, variant: str | None = None) -> dict[str, float]:
@@ -305,34 +312,26 @@ def load_metric_scores(text: str, variant: str | None = None) -> dict[str, float
 
     Report rows are keyed by their variant column; when the report holds
     several variants, ``variant`` selects one, and ``headline_column`` names
-    the column it contributes. A line equal to the header is skipped, so
-    concatenated reports read as one.
+    the column it contributes. Both forms are read by the rules of a human
+    table, and a plain table gives the same scores as ``load_human_table``.
     """
-    lines = _content_lines(text)
-    if not lines:
+    table = _table(text)
+    head_line, header = next(table, (1, []))
+    if not header:
         raise ParseError("empty score file", 1)
-    head_line, head = lines[0]
-    header = [c.strip() for c in head.split("\t")]
     if header == ["system", "score"]:
-        return dict(load_human_table(text).scores)
+        return _scores(table, 0, 1)
     if "system" not in header or "variant" not in header:
         raise ParseError(
             "expected a score report header (with 'system' and 'variant' columns) "
             "or 'system<TAB>score'",
             head_line,
         )
-    idx = {name: k for k, name in enumerate(header)}
-    rows = []
-    for lineno, line in lines[1:]:
-        if line == head:
-            continue
-        cells = line.split("\t")
-        if len(cells) != len(header):
-            raise ParseError(f"expected {len(header)} columns", lineno)
-        rows.append((lineno, {name: cells[k] for name, k in idx.items()}))
+    rows = list(table)
     if not rows:
         raise ParseError("score report has no rows", head_line)
-    variants = sorted({r["variant"] for _, r in rows})
+    idx = {name: k for k, name in enumerate(header)}
+    variants = sorted({cells[idx["variant"]] for _, cells in rows})
     if variant is None:
         if len(variants) > 1:
             raise ParseError(
@@ -340,7 +339,7 @@ def load_metric_scores(text: str, variant: str | None = None) -> dict[str, float
                 head_line,
             )
         variant = variants[0]
-    picked = [(lineno, r) for lineno, r in rows if r["variant"] == variant]
+    picked = [(n, cells) for n, cells in rows if cells[idx["variant"]] == variant]
     if not picked:
         raise ParseError(
             f"variant {variant!r} not present; report has {variants}", head_line
@@ -348,12 +347,4 @@ def load_metric_scores(text: str, variant: str | None = None) -> dict[str, float
     column = headline_column(variant)
     if column not in idx:
         raise ParseError(f"report has no {column!r} column", head_line)
-    scores: dict[str, float] = {}
-    for lineno, row in picked:
-        system = row["system"]
-        if system in scores:
-            raise ParseError(
-                f"duplicate system {system!r} for variant {variant!r}", lineno
-            )
-        scores[system] = _score(row[column], lineno)
-    return scores
+    return _scores(picked, idx["system"], idx[column])

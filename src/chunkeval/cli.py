@@ -70,14 +70,14 @@ def _weight_type(name: str):
 
 
 def _system_name(text: str) -> str:
-    """Argparse type for a report's system name: one TSV cell, not a comment.
+    """Argparse type for a report's system name: one non-empty TSV cell, not a comment.
 
-    Score tables strip their names, so a padded name would match no row.
+    Score tables strip every cell, so a padded name would match no row.
     """
-    if any(c in text for c in "\t\r\n") or text.startswith("#") or text != text.strip():
+    if not text or any(c in text for c in "\t\r\n") or text[0] == "#" or text != text.strip():
         raise argparse.ArgumentTypeError(
-            f"expected no tab, CR or LF, no leading '#' and no surrounding "
-            f"whitespace, got {text!r}"
+            f"expected a non-empty name with no tab, CR or LF, no leading '#' "
+            f"and no surrounding whitespace, got {text!r}"
         )
     return text
 
@@ -274,7 +274,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         for key, values in appended.items():
             if getattr(args, key) is None and values:
                 setattr(args, key, values)
-    if args.command == "evaluate" and not args.system:
+    if args.command == "evaluate" and args.system is None:
         try:  # the default name, the hypothesis file's stem, is checked the same way
             args.system = _system_name(Path(args.hyp).stem)
         except argparse.ArgumentTypeError as exc:

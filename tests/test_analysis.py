@@ -398,8 +398,10 @@ class TestScoreTables:
     def test_header_may_follow_blank_and_comment_lines(self):
         text = "# human scores\n\nsystem\tscore\ns1\t0.5\n# note\n\ns2\t0.25\n"
         want = {"s1": 0.5, "s2": 0.25}
-        assert load_metric_scores(text) == want
-        assert load_human_table(text).scores == want
+        # a repeated header is skipped, so two tables concatenated read as one
+        for text in (text, text.replace("# note\n", "# note\nsystem \tscore\n")):
+            assert load_metric_scores(text) == want
+            assert load_human_table(text).scores == want
         # errors name the physical line
         for bad, line in [("# c\n\ns1\t0.5\n", 3), ("# c\nsystem\tscore\ns1\tx\n", 3)]:
             for load in (load_metric_scores, load_human_table):
@@ -415,6 +417,13 @@ class TestScoreTables:
             "s2\t0\t1\t1\t2\t0\t1\t1\t2\t0.0\t0.0\t0.0\t0.5\tdep\n"
         )
         assert load_metric_scores(report) == {"s1": 1.0, "s2": 0.0}
+        # every cell is stripped: ' s1' names s1, and 'dep ' is variant dep
+        padded = report.replace("s1\t", " s1\t").replace("\tdep\n", "\tdep \n")
+        assert load_metric_scores(padded) == {"s1": 1.0, "s2": 0.0}
+        assert load_metric_scores(padded, "dep") == {"s1": 1.0, "s2": 0.0}
+        with pytest.raises(ParseError, match="duplicate system 's1'") as err:
+            load_metric_scores(report.replace("s2\t", "s1 \t"))
+        assert err.value.line == 4
 
     def test_metric_scores_need_variant_when_ambiguous(self):
         report = (

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import random
@@ -13,11 +14,14 @@ from chunkeval import (
     WeightConfig,
     apply_edits,
     emit_m2,
+    load_human_table,
+    load_metric_scores,
     parse_m2,
     tokenize,
 )
 from chunkeval import cli
 from chunkeval.cli import main
+from chunkeval.scoring import REPORT_COLUMNS
 
 REF_M2 = """S the technologies were improved
 A 0 1|||DET|||-NONE-|||REQUIRED|||-NONE-|||0
@@ -352,6 +356,7 @@ class TestEvaluate:
             ("--beta", "1e200"),
             ("--system", "x\ty"),
             ("--system", "#s1"),
+            ("--system", ""),
         ],
     )
     def test_bad_weight_values_are_rejected_where_parsed(
@@ -788,11 +793,21 @@ class TestCorrelate:
         (tmp_path / "human.tsv").write_text(
             "system\tscore\ngood\t4.0\nlazy\t1.0\nhalf\t3.0\nwas\t2.0\n", encoding="utf-8"
         )
+        # and so does a human table concatenated from two
+        (tmp_path / "human2.tsv").write_text(
+            "system\tscore\ngood\t4.0\nlazy\t1.0\n"
+            "\n# more\nsystem\tscore\nhalf\t3.0\nwas\t2.0\n",
+            encoding="utf-8",
+        )
         results = [
-            run(capsys, ["correlate", str(tmp_path / name), str(tmp_path / "human.tsv")])
-            for name in ("concat.tsv", "merged.tsv")
+            run(capsys, ["correlate", str(tmp_path / name), str(tmp_path / human)])
+            for name, human in [
+                ("concat.tsv", "human.tsv"),
+                ("merged.tsv", "human.tsv"),
+                ("merged.tsv", "human2.tsv"),
+            ]
         ]
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
         code, out, err = results[0]
         assert (code, err) == (0, "")
         assert "half\t0.5556\t3.0" in out.splitlines()
@@ -827,6 +842,32 @@ class TestCorrelate:
         assert code == 3
         assert out == ""
         assert named in err
+
+    def test_accepted_system_names_read_back_unchanged(self):
+        # the writer's name rule and the readers' cell rule must agree
+        rng = random.Random(15)
+        alphabet = "abcdefgh" + " \t\r\n#\u00a0\x0c\x1c\x85\u2028"
+        accepted, refused = {}, 0
+        for _ in range(3000):
+            name = "".join(rng.choice(alphabet) for _ in range(rng.randrange(7)))
+            try:
+                cli._system_name(name)
+            except argparse.ArgumentTypeError:
+                refused += 1
+            else:
+                accepted.setdefault(name, len(accepted) / 8)
+        assert refused > 1000 and len(accepted) > 100
+        assert "" not in accepted
+        assert any(c in name[1:-1] for name in accepted for c in " #\u00a0\x0c\x85\u2028")
+        plain = "system\tscore\n" + "".join(f"{n}\t{v}\n" for n, v in accepted.items())
+        assert load_human_table(plain).scores == accepted
+        assert load_metric_scores(plain) == accepted
+        rows = [
+            {**dict.fromkeys(REPORT_COLUMNS, 0), "system": n, "F_beta": v, "variant": "dep"}
+            for n, v in accepted.items()
+        ]
+        report = cli._format_report(rows, {"ell": 2.0}, "tsv")
+        assert load_metric_scores(report) == accepted
 
     def test_system_mismatch_is_data_error(self, tmp_path, capsys):
         (tmp_path / "metric.tsv").write_text(

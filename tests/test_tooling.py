@@ -1,7 +1,8 @@
 """The runtime stays on the standard library: no dependencies, no other imports.
 
-The package's ``__version__`` is the version ``pyproject.toml`` declares, and
-each ``WeightConfig`` field has one ``evaluate`` flag.
+The package's ``__version__`` is the version ``pyproject.toml`` declares,
+each ``WeightConfig`` field has one ``evaluate`` flag, and
+``corpus.split_lines`` is the one line splitter.
 """
 
 import ast
@@ -113,3 +114,21 @@ def test_every_weight_field_has_one_evaluate_flag():
     # a WeightConfig field that no flag sets is a knob nothing can turn
     names = [f.name for f in dataclasses.fields(WeightConfig)]
     assert sorted(names) == sorted(cli._WEIGHT_FLAGS)
+
+
+def test_split_lines_is_the_only_line_splitter():
+    # str.splitlines also breaks at \f, \x1c, \x85 and \u2028, which a name may hold
+    inside, outside = [], []
+    for name, tree in _modules():
+        own = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "split_lines":
+                own.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            newline = [ast.unparse(a) for a in node.args] == [repr("\n")]
+            if node.func.attr == "splitlines" or node.func.attr == "split" and newline:
+                (inside if id(node) in own else outside).append((name, node.lineno))
+    assert [name for name, _ in inside] == ["corpus.py"]
+    assert outside == []
