@@ -444,9 +444,10 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     chunked = _load_chunked(args)
     configs, meta = _resolve_configs(args, chunked)
+    scored: dict = {}  # a -acc variant reuses its twin's scoring pass
     rows = [
-        run_variant(chunked, variant, cfg, args.fn_on_mismatch).as_row(args.system)
-        for variant, cfg in configs.items()
+        run_variant(chunked, v, cfg, args.fn_on_mismatch, scored=scored).as_row(args.system)
+        for v, cfg in configs.items()
     ]
     _write_out(args, _format_report(rows, meta, args.format))
     return 0

@@ -358,9 +358,18 @@ def run_variant(
     variant: str,
     cfg: WeightConfig,
     fn_on_mismatch: str = FN_FP_ONLY,
+    *,
+    scored: dict | None = None,
 ) -> VariantResult:
-    """Score a dataset under one variant with a fully resolved config."""
+    """Score a dataset under one variant with a fully resolved config.
+
+    One ``scored`` dict serves one ``chunked`` list in one command: it keeps a result
+    per (assumption, level, cfg, fn_on_mismatch), so ``-acc`` twins share a pass.
+    """
     assumption, level = parse_variant(variant)
+    key = (assumption, level, cfg, fn_on_mismatch)
+    if scored and key in scored:
+        return replace(scored[key], variant=variant, counts=replace(scored[key].counts))
     scorer = _SlotScorer(cfg, fn_on_mismatch)
     per_sentence: list[OutcomeCounts] = []
     chosen: list[int | None] = []
@@ -378,4 +387,6 @@ def run_variant(
         scores = aggregate_sentence(
             [Scores.from_counts(c, cfg.beta) for c in per_sentence]
         )
+    if scored is not None:
+        scored[key] = VariantResult(variant, replace(totals), scores, tuple(chosen))
     return VariantResult(variant, totals, scores, tuple(chosen))

@@ -3,6 +3,7 @@ import gc
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 from conftest import random_case
@@ -17,9 +18,10 @@ from chunkeval import (
     load_human_table,
     load_metric_scores,
     parse_m2,
+    run_variant,
     tokenize,
 )
-from chunkeval import cli
+from chunkeval import cli, scoring
 from chunkeval.cli import main
 from chunkeval.scoring import REPORT_COLUMNS
 
@@ -1077,12 +1079,19 @@ def test_module_entry_point(data):
     assert "icc_count\t4" in proc.stdout
 
 
-def _write_corpus(path, n_samples):
-    """A seeded corpus of ``n_samples``: references as M2, hypotheses as text."""
-    rng = random.Random(17)
+def _write_corpus(path, n_samples, n_refs=(2, 4), seed=17, copied=0.0):
+    """A seeded corpus of ``n_samples``: references as M2, hypotheses as text.
+
+    Tokens come from ``conftest.VOCAB``, so they repeat. Each sample has
+    between ``n_refs`` annotators, and a ``copied`` share of the hypotheses
+    copy one reference's edits, so that TPs are common.
+    """
+    rng = random.Random(seed)
     samples, hyps = [], []
     for _ in range(n_samples):
-        source, hyp_edits, refs = random_case(rng, min_refs=2, max_refs=4)
+        source, hyp_edits, refs = random_case(rng, *n_refs)
+        if copied and rng.random() < copied:
+            hyp_edits = rng.choice(refs)[1]
         annotations = {
             aid: tuple(Edit(e.start, e.end, e.replacement, "T") for e in edits)
             for aid, edits in refs
@@ -1154,3 +1163,112 @@ class TestGarbageCollector:
             cycles(argvs[0])  # fill the module-level caches first
             left = [cycles(argv) for argv in argvs]
             assert left[0] == left[1] == left[2] > 0, (argvs[0][0], left)
+
+
+# Request orders of the eight variants: each twin after, before or without its base.
+_ORDERS = {
+    "forward": list(VARIANTS),
+    "reversed": list(reversed(VARIANTS)),
+    "twins-first": [v for v in VARIANTS if v.endswith("-acc")]
+    + [v for v in VARIANTS if not v.endswith("-acc")],
+    "dep-acc-alone": ["dep-acc"],
+}
+# Weight options: none, some flags, every field (so that all eight variants
+# resolve to one WeightConfig and only the assumption and level tell them
+# apart), and a --config file.
+_ALL_FIELDS = "--alpha-tp 3 --alpha-fp 4 --alpha-fn 1.5 --clip-tp 0.5,2 --clip-fp 0.2,3 "
+_ALL_FIELDS += "--clip-fn 0.9,1.1 --ell 2.5 --beta 2"
+_WEIGHTS = {
+    "defaults": ([], None),
+    "flags": (["--alpha-fp", "5", "--clip-tp", "0.5,3", "--beta", "1"], None),
+    "every-field": (_ALL_FIELDS.split(), None),
+    "config": ([], "alpha-tp = 4\nclip-fn = 0.8,1.6\nell = 1.75\n"),
+}
+
+
+class TestScoredOnce:
+    """``evaluate`` scores each distinct configuration once per command.
+
+    The oracle is the memo-free path: a fresh ``run_variant`` per requested
+    variant, formatted by ``cli._format_report``.
+    """
+
+    @staticmethod
+    def memo_free_report(argv):
+        args = cli.parse_args(argv)
+        chunked = cli._load_chunked(args)
+        configs, meta = cli._resolve_configs(args, chunked)
+        rows = [
+            run_variant(chunked, v, cfg, args.fn_on_mismatch).as_row(args.system)
+            for v, cfg in configs.items()
+        ]
+        return cli._format_report(rows, meta, args.format)
+
+    def assert_reports_match_oracle(self, capsys, argv):
+        for order in _ORDERS.values():
+            for mode in ("fp-only", "both"):
+                for fmt in ("tsv", "json"):
+                    full = argv + [f"--variant={v}" for v in order]
+                    full += ["--fn-on-mismatch", mode, "--format", fmt]
+                    want = self.memo_free_report(full)
+                    capsys.readouterr()
+                    code, out, _ = run(capsys, full)
+                    assert (code, out) == (0, want), (order, mode, fmt)
+                    rows = json.loads(out)["rows"] if fmt == "json" else report_rows(out)
+                    assert [row["variant"] for row in rows] == order
+
+    @pytest.mark.parametrize("weights", list(_WEIGHTS))
+    @pytest.mark.parametrize("n_refs", [2, 10])
+    def test_reports_are_byte_identical_to_memo_free_scoring(
+        self, tmp_path, capsys, n_refs, weights
+    ):
+        d = _write_corpus(tmp_path / "c", 30, (n_refs, n_refs), seed=n_refs, copied=0.3)
+        flags, config = _WEIGHTS[weights]
+        argv = ["evaluate", str(d / "hyp.txt"), str(d / "ref.m2"), *flags]
+        if config is not None:
+            (tmp_path / "cfg").write_text(config, encoding="utf-8")
+            argv += ["--config", str(tmp_path / "cfg")]
+        self.assert_reports_match_oracle(capsys, argv)
+
+    def test_unweighted_fallback_is_byte_identical(self, tmp_path, capsys):
+        ref, hyp = tmp_path / "noop.m2", tmp_path / "hyp.txt"
+        ref.write_text(
+            emit_m2([AnnotatedSample(("a", "b", "a"), {0: (), 3: ()})] * 4), encoding="utf-8"
+        )
+        hyp.write_text("a x a\na b a\nb a\na b a a\n", encoding="utf-8")
+        self.assert_reports_match_oracle(capsys, ["evaluate", str(hyp), str(ref)])
+        _, _, err = run(capsys, ["evaluate", str(hyp), str(ref)])
+        assert "falling back to unweighted counts" in err
+
+    @pytest.mark.parametrize("weights", ["defaults", "every-field"])
+    @pytest.mark.parametrize("order", list(_ORDERS))
+    def test_each_variant_runs_once_and_each_configuration_scores_once(
+        self, tmp_path, capsys, monkeypatch, order, weights
+    ):
+        n_samples = 25
+        d = _write_corpus(tmp_path / "c", n_samples, (3, 3), copied=0.3)
+        calls, passes = [], Counter()
+        real_run_variant = cli.run_variant
+
+        def counted_run_variant(chunked, variant, *args, **kwargs):
+            calls.append(variant)
+            return real_run_variant(chunked, variant, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_variant", counted_run_variant)
+        for name in ("dependent", "independent"):
+            method = getattr(scoring._SlotScorer, name)
+
+            def counted(self, cs, _method=method, _name=name):
+                passes[_name] += 1
+                return _method(self, cs)
+
+            monkeypatch.setattr(scoring._SlotScorer, name, counted)
+        argv = ["evaluate", str(d / "hyp.txt"), str(d / "ref.m2"), *_WEIGHTS[weights][0]]
+        code, _, _ = run(capsys, argv + [f"--variant={v}" for v in _ORDERS[order]])
+        assert code == 0
+        assert calls == _ORDERS[order]
+        # one pass per sentence for each (assumption, level) requested
+        scored = Counter(a for a, _ in {scoring.parse_variant(v) for v in calls})
+        assert passes == Counter(
+            {"dependent": n_samples * scored["dep"], "independent": n_samples * scored["indep"]}
+        )
