@@ -27,12 +27,12 @@ class SlotColumns(NamedTuple):
     segment's, at least 1 for a changed chunk, so a reference changed the
     slot exactly when its int is > 1.
 
-    ``distinct`` pairs each distinct reference column with the lowest
-    annotator id that has it, in the order of the references those ids
-    come from, so that the dependent scorer breaks ties as it would over
-    every reference. ``merged`` holds the reference int that judges each
-    slot as all references at once do. ``n_unchanged`` counts the chunks
-    outside the slots.
+    ``distinct`` pairs each distinct reference column, first seen first,
+    with the lowest annotator id that has it; the dependent scorer's key
+    breaks ties. ``merged`` judges each slot by all references at once: 1
+    where a reference's segment equals the hypothesis's, else the smallest
+    non-zero reference int (the shortest changed chunk), or 0 where none
+    changed it. ``n_unchanged`` counts the chunks outside the slots.
     """
 
     hyp: tuple[int, ...]
@@ -67,24 +67,18 @@ class ChunkedSample:
             if h == kept:
                 hyp.append(0)
                 record = [1 if r == kept else 2 * max(b - a, len(r)) for r in refs]
-                # an FN of the shortest length only when every reference
-                # changed the slot (there is at least one), else a TN
-                merged.append(min(record, default=0))
             else:
                 hyp.append(max(b - a, len(h)))
                 record = [
                     0 if r == kept else 2 * max(b - a, len(r)) + (r == h) for r in refs
                 ]
-                # a match with any reference, else the shortest changed
-                # reference chunk, which an FP owes as an FN under
-                # fn_on_mismatch="both", or 0 when no reference changed it
-                merged.append(1 if h in refs else min(filter(None, record), default=0))
+            # a match with any reference, a keeping one too, else the shortest change
+            merged.append(1 if h in refs else min(filter(None, record), default=0))
             records.append(record)
         columns = tuple(zip(*records)) or ((),) * len(self.annotator_ids)
         lowest: dict[tuple[int, ...], int] = {}
         for aid, column in zip(self.annotator_ids, columns):
             if aid < lowest.get(column, aid + 1):
-                lowest.pop(column, None)  # re-inserted at this reference's place
                 lowest[column] = aid
         return SlotColumns(
             tuple(hyp),

@@ -312,10 +312,11 @@ def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
     return "".join(block + "\n\n" for block in blocks)
 
 
-def _unwritable(number: int, tokens: TokenSeq, label: str = "") -> DataError:
+def _unwritable(number: int, tokens: TokenSeq, label: str | None = None) -> DataError:
     """The error of emit_m2, naming the first token or label M2 cannot hold."""
-    bad = [t for t in tokens if "|||" in t or tokenize(t) != (t,)]
-    bad += [label] if "|||" in label or "\n" in label or label == NOOP_TYPE else []
+    fields = label is not None  # a source has no label: its S line may hold "|||"
+    bad = [t for t in tokens if fields and "|||" in t or tokenize(t) != (t,)]
+    bad += [label] if fields and ("|||" in label or "\n" in label or label == NOOP_TYPE) else []
     bad.append(" ".join(tokens))  # a lone -NONE- replacement, or an empty source
     return DataError(f"sample {number}: cannot write {bad[0]!r} to M2")
 

@@ -138,6 +138,8 @@ def length_weight(x: float, cfg: WeightConfig, outcome: str) -> float:
     """Clipped length weight of a chunk of length x for one outcome."""
     if outcome == "tn":
         return 1.0
+    if outcome not in ("tp", "fp", "fn"):
+        raise ValueError(f"unknown outcome {outcome!r}")
     alpha = getattr(cfg, "alpha_" + outcome)
     return _clip(raw_weight(x, alpha, cfg.ell, outcome), getattr(cfg, "clip_" + outcome))
 
@@ -244,6 +246,8 @@ class _SlotScorer:
     """
 
     def __init__(self, cfg: WeightConfig, fn_on_mismatch: str):
+        if fn_on_mismatch not in FN_MODES:
+            raise ValueError(f"fn_on_mismatch must be one of {FN_MODES}, got {fn_on_mismatch!r}")
         self.beta = cfg.beta
         self.both = fn_on_mismatch == FN_BOTH
         self.tp, self.fp, self.fn = (_WeightTable(cfg, o) for o in ("tp", "fp", "fn"))
@@ -367,10 +371,10 @@ def run_variant(
     per (assumption, level, cfg, fn_on_mismatch), so ``-acc`` twins share a pass.
     """
     assumption, level = parse_variant(variant)
+    scorer = _SlotScorer(cfg, fn_on_mismatch)  # refuses an unknown fn_on_mismatch
     key = (assumption, level, cfg, fn_on_mismatch)
     if scored and key in scored:
         return replace(scored[key], variant=variant, counts=replace(scored[key].counts))
-    scorer = _SlotScorer(cfg, fn_on_mismatch)
     per_sentence: list[OutcomeCounts] = []
     chosen: list[int | None] = []
     for cs in chunked:

@@ -2,9 +2,11 @@
 
 ``chunkeval.chunker.partition`` splices only the changed slots and stores
 their segments; this ``partition`` builds one ``Chunk`` per chunk per
-sequence, and derives the slot records from those chunks. The tests
-require the two to agree on spans, slots, chunks and records, and read the
-chunks of a ``chunkeval`` sample through ``chunk_views``.
+sequence, and derives the slot records and the merged column from those
+chunks. The tests require the two to agree on spans, slots, chunks, records
+and the merged column, and read the chunks of a ``chunkeval`` sample
+through ``chunk_views``. ``lowest_id_columns`` keeps the earlier order of
+``slot_columns.distinct``.
 """
 
 from collections.abc import Sequence
@@ -81,6 +83,43 @@ class ChunkedSample:
                 record.append(changed + (ref.segment == hyp.segment))
             records.append(tuple(record))
         return tuple(records)
+
+    @cached_property
+    def merged(self) -> tuple[int, ...]:
+        """The reference int that judges each slot as all references at once do.
+
+        This is the two-branch rule ``slot_columns.merged`` had before one
+        expression served a kept and a changed hypothesis chunk alike.
+        """
+        merged = []
+        for idx, (hyp, *refs) in zip(self.changed_indices, self.slot_records):
+            if not hyp:
+                # an FN of the shortest length only when every reference
+                # changed the slot (there is at least one), else a TN
+                merged.append(min(refs, default=0))
+            else:
+                # a match with any reference, else the shortest changed
+                # reference chunk, or 0 when no reference changed it
+                segments = [chunks[idx].segment for _, chunks in self.ref_chunks]
+                matched = self.hyp_chunks[idx].segment in segments
+                merged.append(1 if matched else min(filter(None, refs), default=0))
+        return tuple(merged)
+
+
+def lowest_id_columns(
+    annotator_ids: Sequence[int], columns: Sequence[tuple[int, ...]]
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Each distinct column with the lowest id that has it, at that id's place.
+
+    This is the order ``slot_columns.distinct`` had before it kept columns
+    in order of first appearance: a lower id moves its column to its place.
+    """
+    lowest: dict[tuple[int, ...], int] = {}
+    for aid, column in zip(annotator_ids, columns):
+        if aid < lowest.get(column, aid + 1):
+            lowest.pop(column, None)  # re-inserted at this reference's place
+            lowest[column] = aid
+    return tuple((aid, column) for column, aid in lowest.items())
 
 
 def _segment_sequence(

@@ -356,6 +356,9 @@ class TestCorrelation:
     def test_short_lists_rejected(self):
         with pytest.raises(ValueError):
             pearson([1, 2], [1, 2])
+        for correlation in (pearson, spearman):
+            with pytest.raises(ValueError, match="length mismatch: 3 vs 4"):
+                correlation([1, 2, 3], [1, 2, 3, 4])
 
 
 class TestCorrelate:

@@ -336,31 +336,44 @@ class TestMatchesPartitionOracle:
 
     def test_spans_chunks_and_records_are_identical(self):
         rng = random.Random(67)
+        shuffler = random.Random(68)  # leaves the cases drawn from ``rng`` as they were
         for _ in range(1000):
             source, hyp_edits, refs = random_case(rng, min_refs=0, max_refs=10)
             if refs and rng.random() < 0.3:  # make matching slots common
                 hyp_edits = list(rng.choice(refs)[1])
-            cs = partition(source, hyp_edits, refs)
-            want = partition_oracle.partition(source, hyp_edits, refs)
-            assert chunk_views(cs) == want
-            assert cs.annotator_ids == tuple(aid for aid, _ in refs)
-            # the oracle's records are the columns of ``slot_columns``
-            columns, records = cs.slot_columns, want.slot_records
-            assert columns.hyp == tuple(record[0] for record in records)
-            assert columns.refs == tuple(
-                tuple(record[k] for record in records) for k in range(1, len(refs) + 1)
-            )
-            pairs = list(zip(cs.annotator_ids, columns.refs))
-            assert columns.distinct == tuple(
-                (min(a for a, c in pairs if c == column), column)
-                for column in dict.fromkeys(c for _, c in pairs)
-            )
-            assert columns.n_unchanged == len(cs.boundary_spans) - len(records)
-            sequences = [want.hyp_chunks] + [chunks for _, chunks in want.ref_chunks]
-            assert cs.slot_segments == tuple(
-                tuple(chunks[idx].segment for idx in want.changed_indices)
-                for chunks in sequences
-            )
+            # the same case with the references in shuffled id order
+            for refs in (refs, shuffler.sample(refs, len(refs))):
+                self.check(source, hyp_edits, refs)
+
+    @staticmethod
+    def check(source, hyp_edits, refs):
+        cs = partition(source, hyp_edits, refs)
+        want = partition_oracle.partition(source, hyp_edits, refs)
+        assert chunk_views(cs) == want
+        assert cs.annotator_ids == tuple(aid for aid, _ in refs)
+        # the oracle's records are the columns of ``slot_columns``
+        columns, records = cs.slot_columns, want.slot_records
+        assert columns.hyp == tuple(record[0] for record in records)
+        assert columns.refs == tuple(
+            tuple(record[k] for record in records) for k in range(1, len(refs) + 1)
+        )
+        assert columns.merged == want.merged
+        pairs = list(zip(cs.annotator_ids, columns.refs))
+        assert columns.distinct == tuple(
+            (min(a for a, c in pairs if c == column), column)
+            for column in dict.fromkeys(c for _, c in pairs)
+        )
+        # the earlier order holds the same pairs, in the same order for ascending ids
+        earlier = partition_oracle.lowest_id_columns(cs.annotator_ids, columns.refs)
+        assert set(columns.distinct) == set(earlier)
+        if list(cs.annotator_ids) == sorted(cs.annotator_ids):
+            assert columns.distinct == earlier
+        assert columns.n_unchanged == len(cs.boundary_spans) - len(records)
+        sequences = [want.hyp_chunks] + [chunks for _, chunks in want.ref_chunks]
+        assert cs.slot_segments == tuple(
+            tuple(chunks[idx].segment for idx in want.changed_indices)
+            for chunks in sequences
+        )
 
 
 BAD_EDITS = {

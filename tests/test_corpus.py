@@ -621,6 +621,8 @@ class TestEmitM2:
             (("a", ""), ("x",), "R", "''"),
             # a whole sample whose annotator key M2 cannot carry
             (AnnotatedSample(("a", "b"), {-1: ()}), None, None, "annotator -1"),
+            # a source token may hold '|||'; the empty token is what M2 cannot hold
+            (("a|||b", ""), ("x",), "R", "''"),
         ],
     )
     def test_round_trip_or_data_error(self, source, replacement, label, named):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -36,7 +37,7 @@ from chunkeval import (
     sum_counts,
     unweighted,
 )
-from chunkeval.scoring import FN_MODES
+from chunkeval.scoring import FN_MODES, parse_variant
 from test_chunker import fig_sample, top_sample
 
 CFG = replace(default_config("dep"), ell=2.0)
@@ -66,6 +67,15 @@ class TestLengthWeight:
     def test_tn_pinned_to_one(self):
         for x in range(0, 13):
             assert length_weight(x, CFG, "tn") == 1.0
+            assert raw_weight(x, 10.0, 2.0, "tn") == 1.0
+
+    @pytest.mark.parametrize("outcome", ["TP", "tn ", "", "alpha"])
+    def test_unknown_outcome_rejected(self, outcome):
+        message = f"^{re.escape(f'unknown outcome {outcome!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            raw_weight(1, 2.0, 1.0, outcome)
+        with pytest.raises(ValueError, match=message):
+            length_weight(1, CFG, outcome)
 
     def test_monotone_directions(self):
         for alpha in (2.0, 3.0, 5.0, 10.0):
@@ -550,6 +560,10 @@ class TestWeightConfig:
         sent_ind = default_config("sent-indep-acc")
         assert sent_ind.clip_tp == (2.5, 10.0)
         assert sent_ind.clip_fp == (0.25, 1.0)
+        assert parse_variant("sent-dep-acc") == ("dep", "sentence")
+        for variant in ("dep-ac", "DEP", "sent-dep-", ""):
+            with pytest.raises(ValueError, match=f"unknown variant {variant!r}"):
+                parse_variant(variant)
 
     def test_sum_counts_keeps_raw_integers(self):
         total = sum_counts([OutcomeCounts(tp_n=2), OutcomeCounts(tp_n=3)])
@@ -632,6 +646,25 @@ class TestScoredMemo:
             assert got == run_variant(batch, v, c, m)
         # each request scores differently from the first, so a hit would show
         assert all(got.scores != results[0].scores for got in results[1:])
+
+
+@pytest.mark.parametrize("mode", ["Both", "fp_only", ""])
+def test_unknown_fn_on_mismatch_rejected(mode):
+    # at every entry point, before anything is scored or stored
+    cs = partition(("a", "b"), [Edit(0, 1, ("x",))], [(0, [Edit(0, 1, ("y",))])])
+    assert [run_variant([cs], "dep", CFG, m).counts.fn_n for m in FN_MODES] == [1, 0]
+    message = re.escape(f"fn_on_mismatch must be one of {FN_MODES}, got {mode!r}")
+    scored = {}
+    run_variant([cs], "dep", CFG, "both", scored=scored)
+    for variant in ("dep", "dep-acc", "indep", "sent-dep-acc"):
+        with pytest.raises(ValueError, match=message):
+            run_variant([cs], variant, CFG, mode, scored=scored)
+        with pytest.raises(ValueError, match=message):
+            run_variant([cs], variant, CFG, mode)
+    assert list(scored) == [("dep", "corpus", CFG, "both")]
+    for score_sentence in (score_sentence_dependent, score_sentence_independent):
+        with pytest.raises(ValueError, match=message):
+            score_sentence(cs, CFG, mode)
 
 
 class TestEditLevelOracle:
