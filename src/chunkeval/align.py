@@ -3,6 +3,8 @@
 Used when pre-extracted M2 edits are not supplied. The alignment is a
 minimal-cost Levenshtein path (match 0, substitute/delete/insert 1) with a
 fixed backtrace preference, so identical inputs always yield identical edits.
+The distance table is filled a whole column at a time as bit-vectors
+(Myers 1999; Hyyrö 2001).
 """
 
 from collections.abc import Sequence
@@ -18,15 +20,17 @@ def extract_edits(source: Sequence[str], target: Sequence[str]) -> list[Edit]:
     becomes one edit covering the run's source span, replaced by the run's
     target tokens.
 
-    Only the band |i - j| <= k of the distance table D is filled, doubling
-    k until D(n, m) <= k (Ukkonen 1985). That is exact: a cell off the band
-    costs more than k to reach, so every cell the backtrace visits or
-    compares equal has its true value, and every other cell reads above k.
-    Equal last tokens always backtrace as a match, so the common suffix is
-    cut first. The common prefix, of length p, is not cut, because repeated
-    tokens can move an edit into it; but D(i, j) = |i - j| whenever i <= p,
-    as s[:i] is then a prefix of t[:j] or the other way round, so rows 0..p
-    are written down rather than filled.
+    Column j of the distance table D is kept as two int bit-vectors over
+    the source rows: bit i - 1 of ``vp`` (of ``vn``) is set when
+    D(i, j) - D(i - 1, j) is +1 (is -1), so D(i, j) is j plus the set bits
+    of the first i rows of one, minus those of the other. Each column
+    follows from the one before in a fixed number of int operations
+    (Myers 1999, with the +1 top row of Hyyrö 2001's edit distance), so D
+    is exact in every cell. Equal last tokens always backtrace as a match,
+    so the common suffix is cut first. The common prefix, of length p, is
+    not cut, because repeated tokens can move an edit into it; but
+    D(i, j) = |i - j| whenever min(i, j) <= p, as the shorter side is then
+    a prefix of the longer, so the columns start at p rather than 0.
     """
     s, t = tuple(source), tuple(target)
     if s == t:
@@ -38,16 +42,29 @@ def extract_edits(source: Sequence[str], target: Sequence[str]) -> list[Edit]:
     while p < short and s[p] == t[p]:
         p += 1
 
-    k = max(abs(n - m), 1)
-    while True:
-        rows = _band(s, t, n, m, p, k)
-        if rows[-1][m - n + k + 1] <= k:
-            break
-        k *= 2
+    peq: dict[str, int] = {}  # the rows of each source token, as a bit-mask
+    for i in range(n):
+        peq[s[i]] = peq.get(s[i], 0) | 1 << i
+    mask = (1 << n) - 1  # keeps each vector to the n rows, the only bits read
+    vn = (1 << p) - 1  # column p: D(i, p) = |i - p| falls to row p, then rises
+    vp = mask ^ vn
+    vps, vns = [vp], [vn]
+    for j in range(p, m):
+        eq = peq.get(t[j], 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = (vn | ~(xh | vp)) << 1 | 1  # horizontal deltas; row 0 steps +1
+        mh = (vp & xh) << 1
+        vp = (mh | ~(xv | ph)) & mask
+        vn = ph & xv
+        vps.append(vp)
+        vns.append(vn)
 
     def dist(i: int, j: int) -> int:
-        # row r keeps D(p + r, j) at index j - (p + r) + k + 1
-        return abs(i - j) if i < p else rows[i - p][j - i + k + 1]
+        if j <= p:
+            return abs(i - j)
+        rows = (1 << i) - 1
+        return j + (vps[j - p] & rows).bit_count() - (vns[j - p] & rows).bit_count()
 
     edits: list[Edit] = []
     i, j = n, m
@@ -74,38 +91,3 @@ def extract_edits(source: Sequence[str], target: Sequence[str]) -> list[Edit]:
         edits.append(Edit(0, run[0], t[: run[1]]))
     edits.reverse()
     return edits
-
-
-def _band(
-    s: tuple[str, ...], t: tuple[str, ...], n: int, m: int, p: int, k: int
-) -> list[list[int]]:
-    """Rows p..n of D over s[:n], t[:m], on the band |i - j| <= k.
-
-    s and t share their first p tokens, so D(p, j) = |p - j|.
-    Cells off the band, or off the table, read k + 1. Equal tokens take the
-    diagonal value outright, as the backtrace always matches them.
-    """
-    far = k + 1
-    first = [far] * (2 * k + 3)
-    for j in range(max(0, p - k), min(m, p + k) + 1):
-        first[j - p + k + 1] = abs(p - j)
-    rows = [first]
-    prev = first
-    for i in range(p + 1, n + 1):
-        tok = s[i - 1]
-        cur = [far] * (2 * k + 3)
-        left = far
-        for j in range(max(0, i - k), min(m, i + k) + 1):
-            x = j - i + k + 1
-            diag = prev[x]
-            if j == 0 or tok != t[j - 1]:
-                up = prev[x + 1]
-                if up < diag:
-                    diag = up
-                if left < diag:
-                    diag = left
-                diag += 1
-            cur[x] = left = diag
-        rows.append(cur)
-        prev = cur
-    return rows

@@ -1,8 +1,9 @@
 """The full O(n*m) Levenshtein aligner: the reference for ``extract_edits``.
 
-``chunkeval.align.extract_edits`` fills only a band of the distance table;
-these functions fill all of it and build one ``AlignOp`` per step, and the
-tests require the two to give the same edits.
+``chunkeval.align.extract_edits`` fills the distance table as bit-vector
+columns from the end of the shared prefix; these functions fill every cell
+as a plain int and build one ``AlignOp`` per step, and the tests require the
+two to give the same edits.
 """
 
 from collections.abc import Sequence

@@ -130,7 +130,7 @@ def full_dp_edits(source, target):
 
 
 class TestMatchesFullDP:
-    """``extract_edits`` fills only a band of the table; the full DP is the oracle."""
+    """``extract_edits`` fills bit-vector columns; the full DP is the oracle."""
 
     def test_random_pairs(self):
         rng = random.Random(17)
@@ -176,11 +176,61 @@ class TestMatchesFullDP:
         ],
     )
     def test_band_doubles_at_least_twice(self, source, target):
-        # the band starts at k = max(|n - m|, 1) and doubles while the
-        # distance exceeds k: a distance above 2k takes two doublings
+        # a distance above 2 * max(|n - m|, 1): the path strays far from the
+        # diagonal, so cells far off it must hold their true distance
         distance = sum(op.kind != "match" for op in align(source, target))
         assert distance > 2 * max(abs(len(source) - len(target)), 1)
         assert extract_edits(source, target) == full_dp_edits(source, target)
+
+    def test_long_pairs(self):
+        # up to 140 tokens, so the columns cross the 30- and 60-bit digits
+        # of an int, over vocabularies of 1 to 8 tokens that repeat heavily
+        rng = random.Random(19)
+        for _ in range(150):
+            vocab = VOCAB[: rng.randint(1, len(VOCAB))]
+            src = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 140)))
+            if rng.random() < 0.5:
+                tgt = list(src)
+                for _ in range(rng.randint(1, 6)):
+                    pos = rng.randint(0, len(tgt))
+                    tgt[pos : pos + rng.randint(0, 3)] = rng.choices(
+                        vocab, k=rng.randint(0, 3)
+                    )
+                tgt = tuple(tgt)
+            else:
+                tgt = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 140)))
+            edits = extract_edits(src, tgt)
+            assert edits == full_dp_edits(src, tgt), (src, tgt)
+            assert apply_edits(src, edits) == tgt
+
+    def test_shared_prefix_ending_in_repeats(self):
+        # the shared prefix ends in a run of one token and the target has
+        # more or fewer of it, so the edit slides back into the prefix
+        rng = random.Random(23)
+        slid = 0
+        for _ in range(200):
+            vocab = VOCAB[: rng.randint(2, len(VOCAB))]
+            head = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 70)))
+            tok = rng.choice(vocab)
+            run = (tok,) * rng.randint(1, 40)
+            tails = [
+                tuple(rng.choice(vocab) for _ in range(rng.randint(0, 30)))
+                for _ in range(2)
+            ]
+            extra = (tok,) * rng.randint(1, 5)
+            if rng.random() < 0.5:
+                src, tgt = head + run + tails[0], head + run + extra + tails[1]
+            else:
+                src, tgt = head + run + extra + tails[0], head + run + tails[1]
+            p = next(
+                (k for k, (a, b) in enumerate(zip(src, tgt)) if a != b),
+                min(len(src), len(tgt)),
+            )
+            edits = extract_edits(src, tgt)
+            assert edits == full_dp_edits(src, tgt), (src, tgt)
+            assert apply_edits(src, edits) == tgt
+            slid += bool(edits) and edits[0].start < p
+        assert slid > 50
 
     def test_repeated_token_insertion_stays_at_zero(self):
         # trimming the shared prefix "a" would move this insertion to 1
