@@ -314,19 +314,19 @@ def _load_hypotheses(args, samples: list[AnnotatedSample]) -> list:
                 f"hypothesis M2 has {len(hyp_samples)} samples, "
                 f"references have {len(samples)}"
             )
-        edits = []
-        for i, (h, r) in enumerate(zip(hyp_samples, samples)):
+        edits, several = [], []
+        for i, (h, r) in enumerate(zip(hyp_samples, samples), 1):
             if h.source != r.source:
-                raise DataError(
-                    f"sample {i + 1}: hypothesis and reference sources differ"
-                )
+                raise DataError(f"sample {i}: hypothesis and reference sources differ")
             ids = h.annotator_ids
             if len(ids) > 1:
-                _warn(
-                    f"sample {i + 1}: hypothesis M2 has {len(ids)} annotators; "
-                    f"using annotator {ids[0]}"
-                )
+                several.append(f"sample {i} uses annotator {ids[0]}")
             edits.append(h.annotations[ids[0]] if ids else ())
+        if several:
+            _warn(
+                f"hypothesis M2 has several annotators in {len(several)} sample(s); "
+                f"each uses its lowest annotator id, as {several[0]}"
+            )
         return edits
     lines = split_lines(_read(args.hyp))
     if len(lines) != len(samples):
@@ -359,7 +359,7 @@ def _kept_samples(
         if skipped:
             _warn(
                 f"--drop-unchanged-refs skipped {skipped} sample(s); each needs at "
-                f"least {min_annotators} annotator(s) with edits"
+                f"least {min_annotators} annotator(s) that change the source"
             )
     if not kept:
         raise DataError(f"no samples left to {args.command}")

@@ -31,6 +31,9 @@ _ASCII_WS = re.compile(r"[ \t\r\n\f\v]+")
 NOOP_TYPE = "noop"
 UNKNOWN_TYPE = "UNK"
 _NONE_FIELD = "-NONE-"
+# a replacement token M2 cannot hold: empty, or holding '|||' or ASCII whitespace
+_UNHOLDABLE = re.compile(r"\A\Z|\|\|\||" + _ASCII_WS.pattern).search
+_A_LINE = "A {} {}|||{}|||{}|||REQUIRED|||-NONE-|||{}".format
 
 
 def _splits_plainly(text: str) -> bool:
@@ -278,47 +281,41 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
 def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
     """Serialize samples canonically: annotators ascending, edits sorted.
 
-    Whatever would read back differently raises DataError: an empty source,
-    a token that is empty or holds ASCII whitespace or ``|||``, a lone
-    ``-NONE-`` replacement, a type label ``noop`` or holding ``|||`` or LF,
-    or a negative annotator key.
+    Whatever would read back differently raises DataError naming the first
+    culprit: an empty source; a token that is empty or holds ASCII whitespace,
+    or (in a replacement) ``|||``; a replacement ending in ``|`` or a lone
+    ``-NONE-``; a label ``noop``, ending in ``|`` or holding ``|||`` or LF;
+    or a negative annotator key. ``parse_m2`` splits an ``A`` line at
+    ``|||`` from the left, so a field ending in ``|`` moves the separator.
     """
     blocks: list[str] = []
     for number, sample in enumerate(samples, 1):
         source = " ".join(sample.source)
         if not source or tokenize(source) != sample.source:
-            raise _unwritable(number, sample.source)
+            bad = next((t for t in sample.source if tokenize(t) != (t,)), "")
+            raise DataError(f"sample {number}: cannot write {bad!r} to M2")
         lines = ["S " + source]
         for aid in sample.annotator_ids:
             annots = sample.annotations[aid]
             if aid < 0:
                 raise DataError(f"sample {number}: cannot write annotator {aid} to M2")
             if not annots:
-                lines.append(
-                    f"A -1 -1|||{NOOP_TYPE}|||{_NONE_FIELD}|||REQUIRED|||{_NONE_FIELD}|||{aid}"
-                )
-                continue
+                lines.append(_A_LINE(-1, -1, NOOP_TYPE, _NONE_FIELD, aid))
             for e in annots:
-                repl = " ".join(e.replacement)
-                label = e.type_label
-                if tokenize(repl) != e.replacement or e.replacement == (_NONE_FIELD,) or (
-                    "|||" in repl + label or "\n" in label or label == NOOP_TYPE
-                ):
-                    raise _unwritable(number, e.replacement, label)
-                lines.append(
-                    f"A {e.start} {e.end}|||{label}|||{repl or _NONE_FIELD}|||REQUIRED|||{_NONE_FIELD}|||{aid}"
+                repl, label = " ".join(e.replacement), e.type_label
+                # the first bad token, else the last token, else the label
+                bad = next(
+                    filter(_UNHOLDABLE, e.replacement),
+                    e.replacement[-1] if repl.endswith("|") or repl == _NONE_FIELD
+                    else label if "|||" in label or label.endswith("|") or "\n" in label
+                    or label == NOOP_TYPE
+                    else None,
                 )
+                if bad is not None:
+                    raise DataError(f"sample {number}: cannot write {bad!r} to M2")
+                lines.append(_A_LINE(e.start, e.end, label, repl or _NONE_FIELD, aid))
         blocks.append("\n".join(lines))
     return "".join(block + "\n\n" for block in blocks)
-
-
-def _unwritable(number: int, tokens: TokenSeq, label: str | None = None) -> DataError:
-    """The error of emit_m2, naming the first token or label M2 cannot hold."""
-    fields = label is not None  # a source has no label: its S line may hold "|||"
-    bad = [t for t in tokens if fields and "|||" in t or tokenize(t) != (t,)]
-    bad += [label] if fields and ("|||" in label or "\n" in label or label == NOOP_TYPE) else []
-    bad.append(" ".join(tokens))  # a lone -NONE- replacement, or an empty source
-    return DataError(f"sample {number}: cannot write {bad[0]!r} to M2")
 
 
 def split_lines(text: str) -> list[str]:
@@ -351,12 +348,14 @@ def load_parallel(src_text: str, tgt_text: str) -> list[tuple[TokenSeq, TokenSeq
 
 
 def drop_unchanged_references(sample: AnnotatedSample) -> AnnotatedSample | None:
-    """Remove annotators whose correction equals the source (zero edits).
+    """Remove annotators whose correction equals the source (no edits, or
+    only no-op edits).
 
     Returns None when no annotator remains; callers decide how to handle
     such samples.
     """
-    kept = {aid: es for aid, es in sample.annotations.items() if es}
+    source = sample.source
+    kept = {a: es for a, es in sample.annotations.items() if sample.reference(a) != source}
     if not kept:
         return None
-    return AnnotatedSample(sample.source, kept)
+    return AnnotatedSample(source, kept)

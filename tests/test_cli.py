@@ -101,7 +101,7 @@ class TestExtract:
             (1, 2, ("x",))
         ]
 
-    @pytest.mark.parametrize("token", ["-NONE-", "x|||q"])
+    @pytest.mark.parametrize("token", ["-NONE-", "x|||q", "b|"])
     def test_target_token_m2_cannot_hold_is_data_error(self, tmp_path, capsys, token):
         (tmp_path / "src.txt").write_text("a b\nc d\n", encoding="utf-8")
         (tmp_path / "tgt.txt").write_text(f"a b\n{token} d\n", encoding="utf-8")
@@ -242,6 +242,25 @@ class TestEvaluate:
         assert code == 0
         assert "annotator 0" in err
         assert float(report_rows(out)[0]["F_beta"]) == 1.0
+
+    def test_multi_annotator_hypothesis_m2_warns_once(self, data, tmp_path, capsys):
+        block = "S it is good\n" + "".join(
+            f"A 0 1|||PRON|||It|||REQUIRED|||-NONE-|||{aid}\n" for aid in (3, 1)
+        )
+        refs = tmp_path / "refs.m2"
+        refs.write_text(
+            "S it is good\nA 0 1|||PRON|||It|||REQUIRED|||-NONE-|||0\n\n" * 3, encoding="utf-8"
+        )
+        hyp_m2 = tmp_path / "hyp.m2"
+        hyp_m2.write_text(f"{block}\n{block}\nS it is good\n", encoding="utf-8")
+        code, _, err = run(
+            capsys, ["evaluate", str(hyp_m2), str(refs), "--hyp-format", "m2"]
+        )
+        assert code == 0
+        assert err.splitlines() == [
+            "chunkeval: hypothesis M2 has several annotators in 2 sample(s); "
+            "each uses its lowest annotator id, as sample 1 uses annotator 1"
+        ]
 
     def test_hypothesis_m2_source_mismatch_is_data_error(self, data, tmp_path, capsys):
         hyp_m2 = tmp_path / "hyp.m2"
@@ -536,6 +555,27 @@ class TestEvaluate:
 
 
 class TestChunks:
+    def test_drop_unchanged_refs_drops_no_op_edits(self, tmp_path, capsys):
+        # annotator 0 rewrites 'a' as 'a': its correction equals the source
+        (tmp_path / "ref.m2").write_text(
+            "S a b\n"
+            "A 0 1|||R|||a|||REQUIRED|||-NONE-|||0\n"
+            "A 1 2|||R|||c|||REQUIRED|||-NONE-|||1\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "hyp.txt").write_text("a b\n", encoding="utf-8")
+        argv = ["chunks", str(tmp_path / "hyp.txt"), str(tmp_path / "ref.m2")]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert [line.split("\t")[0] for line in out.splitlines()] == [
+            "sequence", "source", "hypothesis", "ref-0", "ref-1"
+        ]
+        code, out, _ = run(capsys, argv + ["--drop-unchanged-refs"])
+        assert code == 0
+        assert [line.split("\t")[0] for line in out.splitlines()] == [
+            "sequence", "source", "hypothesis", "ref-1"
+        ]
+
     def test_tsv_tables(self, data, capsys):
         code, out, _ = run(
             capsys, ["chunks", str(data / "ref0-as-hyp.txt"), str(data / "ref.m2")]

@@ -610,6 +610,9 @@ class TestEmitM2:
             (("a", "b"), ("x\x1fy",), "R", None),
             (("a", "b"), (), "M:DEL", None),
             (("-NONE-", "b|||"), ("x",), "R", None),
+            (("a", "b"), ("|x",), "R", None),
+            (("a", "b"), ("x|", "y"), "R", None),
+            (("a", "b"), ("x",), "|R", None),
             # and each of these would not, so emit_m2 refuses it
             (("a", "b"), ("x",), "noop", "'noop'"),
             (("a", "b"), ("x",), "R\nS", "'R\\nS'"),
@@ -619,6 +622,10 @@ class TestEmitM2:
             (("a b", "c"), ("x",), "R", "'a b'"),
             (("a", "\t"), ("x",), "R", "'\\t'"),
             (("a", ""), ("x",), "R", "''"),
+            # a field ending in '|' would move the separator after it
+            (("a", "b"), ("x|",), "R", "'x|'"),
+            (("a", "b"), ("a", "b||"), "R", "'b||'"),
+            (("a", "b"), ("x",), "R|", "'R|'"),
             # a whole sample whose annotator key M2 cannot carry
             (AnnotatedSample(("a", "b"), {-1: ()}), None, None, "annotator -1"),
             # a source token may hold '|||'; the empty token is what M2 cannot hold
@@ -643,6 +650,55 @@ class TestEmitM2:
         with pytest.raises(DataError) as err:
             emit_m2([fine, AnnotatedSample((), {0: ()})])
         assert str(err.value) == "sample 2: cannot write '' to M2"
+
+    def test_pipe_fuzz_writes_exactly_what_reads_back(self):
+        # emit_m2 refuses a sample exactly when its lines, written without
+        # any check, would not read back as the sample
+        pieces = ["|", "||", "|||", "x|", "-NONE-", "noop", " ", "\n", "\x85", "x"]
+
+        def text(k, plain=0.4):
+            if rng.random() < plain:
+                return rng.choice("abc")
+            return "".join(rng.choice(pieces) for _ in range(rng.randint(0, k)))
+
+        def unchecked(sample):
+            lines = ["S " + " ".join(sample.source)]
+            for aid in sample.annotator_ids:
+                fields = [
+                    (e.start, e.end, e.type_label, " ".join(e.replacement) or "-NONE-")
+                    for e in sample.annotations[aid]
+                ] or [(-1, -1, "noop", "-NONE-")]
+                lines += [
+                    f"A {s} {e}|||{t}|||{r}|||REQUIRED|||-NONE-|||{aid}" for s, e, t, r in fields
+                ]
+            return "\n".join(lines) + "\n\n"
+
+        rng = random.Random(21)
+        outcomes = {True: 0, False: 0}
+        for _ in range(3000):
+            source = tuple(text(2, 0.9) for _ in range(rng.randint(1, 3)))
+            annotations = {}
+            for aid in rng.sample(range(3), rng.randint(1, 2)):
+                start = rng.randint(0, len(source))
+                end = rng.randint(start, len(source))
+                replacement = tuple(text(3) for _ in range(rng.randint(start == end, 2)))
+                edit = Edit(start, end, replacement, text(3))
+                annotations[aid] = () if rng.random() < 0.2 else (edit,)
+            sample = AnnotatedSample(source, annotations)
+            try:
+                reads_back = parse_m2(unchecked(sample)) == [sample]
+            except DataError:
+                reads_back = False
+            try:
+                written = emit_m2([sample])
+            except DataError:
+                written = None
+            assert (written is not None) == reads_back, sample
+            if written is not None:
+                assert written == unchecked(sample)
+                assert parse_m2(written) == [sample]
+            outcomes[reads_back] += 1
+        assert min(outcomes.values()) > 500
 
 
 class TestLoadParallel:
@@ -698,6 +754,17 @@ class TestDropUnchangedReferences:
         )
         filtered = drop_unchanged_references(sample)
         assert filtered.annotator_ids == [1]
+
+    def test_drops_annotators_whose_edits_are_all_no_ops(self):
+        sample = AnnotatedSample(
+            ("a", "b"),
+            {
+                0: (Edit(0, 1, ("a",), "R"), Edit(1, 2, ("b",))),
+                1: (Edit(1, 2, ("c",)),),
+                2: (Edit(0, 2, ("a", "b")),),
+            },
+        )
+        assert drop_unchanged_references(sample).annotator_ids == [1]
 
     def test_none_when_all_unchanged(self):
         assert drop_unchanged_references(AnnotatedSample(("a",), {0: ()})) is None

@@ -1,8 +1,9 @@
 """The runtime stays on the standard library: no dependencies, no other imports.
 
 The package's ``__version__`` is the version ``pyproject.toml`` declares,
-each ``WeightConfig`` field has one ``evaluate`` flag, and
-``corpus.split_lines`` is the one line splitter.
+``__all__`` lists exactly what the package imports, each ``WeightConfig``
+field has one ``evaluate`` flag, and ``corpus.split_lines`` is the one line
+splitter.
 """
 
 import ast
@@ -47,6 +48,18 @@ def test_package_imports_only_the_standard_library():
     )
     assert outside == []
     assert len(imported) > 10  # the walk found the package's imports
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    tree = ast.parse((ROOT / "src" / "chunkeval" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(imported) > 40  # the walk found the re-exports
+    assert sorted(chunkeval.__all__) == sorted(imported + ["__version__"])
 
 
 def _modules():
