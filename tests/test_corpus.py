@@ -610,9 +610,6 @@ class TestEmitM2:
             (("a", "b"), ("x\x1fy",), "R", None),
             (("a", "b"), (), "M:DEL", None),
             (("-NONE-", "b|||"), ("x",), "R", None),
-            (("a", "b"), ("|x",), "R", None),
-            (("a", "b"), ("x|", "y"), "R", None),
-            (("a", "b"), ("x",), "|R", None),
             # and each of these would not, so emit_m2 refuses it
             (("a", "b"), ("x",), "noop", "'noop'"),
             (("a", "b"), ("x",), "R\nS", "'R\\nS'"),
@@ -622,14 +619,18 @@ class TestEmitM2:
             (("a b", "c"), ("x",), "R", "'a b'"),
             (("a", "\t"), ("x",), "R", "'\\t'"),
             (("a", ""), ("x",), "R", "''"),
-            # a field ending in '|' would move the separator after it
-            (("a", "b"), ("x|",), "R", "'x|'"),
-            (("a", "b"), ("a", "b||"), "R", "'b||'"),
-            (("a", "b"), ("x",), "R|", "'R|'"),
             # a whole sample whose annotator key M2 cannot carry
             (AnnotatedSample(("a", "b"), {-1: ()}), None, None, "annotator -1"),
             # a source token may hold '|||'; the empty token is what M2 cannot hold
             (("a|||b", ""), ("x",), "R", "''"),
+            # a '|' that does not end a field reads back as written
+            (("a", "b"), ("|x",), "R", None),
+            (("a", "b"), ("x|", "y"), "R", None),
+            (("a", "b"), ("x",), "|R", None),
+            # a field ending in '|' would move the separator after it
+            (("a", "b"), ("x|",), "R", "'x|'"),
+            (("a", "b"), ("a", "b||"), "R", "'b||'"),
+            (("a", "b"), ("x",), "R|", "'R|'"),
         ],
     )
     def test_round_trip_or_data_error(self, source, replacement, label, named):
