@@ -158,7 +158,7 @@ def corpus_stats(samples: Sequence[AnnotatedSample]) -> dict:
                 if growth or (
                     first.replacement != source[first.start : first.end]
                     if j == i + 1
-                    else splice_slots(source, edits[i:j], [(a, b, ())]) != (source[a:b],)
+                    else splice_slots(source, edits[i:j], [(a, b)])
                 ):
                     if a < b:
                         n_unchanged -= 1

@@ -3,8 +3,9 @@
 The edit sets of the hypothesis and all references are pooled; edits whose
 closed source intervals touch or overlap are merged into one changed slot.
 Every sequence is then segmented into the same number of chunks: the slots
-plus the unchanged stretches between them. Only the slots are spliced and
-stored per sequence; every other chunk is the source span itself.
+plus the unchanged stretches between them. A sequence is spliced only at
+the slots its own edits fall in, and what the scorers read is stored as
+columns of small ints; every other chunk is the source span itself.
 """
 
 from collections.abc import Iterable, Sequence
@@ -25,7 +26,9 @@ class SlotColumns(NamedTuple):
     it changed the slot (else 0), plus 1 where its segment equals the
     hypothesis segment. A chunk's length is the larger of the span's and the
     segment's, at least 1 for a changed chunk, so a reference changed the
-    slot exactly when its int is > 1.
+    slot exactly when its int is > 1. ``partition`` writes a column only at
+    the slots its sequence changes; at every other slot a reference keeps
+    the span, so its int is 1 where the hypothesis kept the slot too, else 0.
 
     ``distinct`` pairs each distinct reference column, first seen first,
     with the lowest annotator id that has it; the dependent scorer's key
@@ -46,47 +49,35 @@ class SlotColumns(NamedTuple):
 class ChunkedSample:
     """Source, hypothesis and references segmented with shared boundaries.
 
-    ``slot_segments`` holds one tuple per sequence, the hypothesis first and
-    then each reference in ``annotator_ids`` order, with that sequence's
-    segment at each slot of ``changed_indices``.
+    ``edit_sets`` holds each sequence's sorted, checked edits, the
+    hypothesis first and then each reference in ``annotator_ids`` order.
+    ``slot_columns`` is built by ``partition`` as it splices them; the
+    segments themselves are kept only in the lazy ``slot_segments`` view.
     """
 
     source: TokenSeq
     boundary_spans: tuple[tuple[int, int], ...]
     changed_indices: tuple[int, ...]
     annotator_ids: tuple[int, ...]
-    slot_segments: tuple[tuple[TokenSeq, ...], ...]
+    edit_sets: tuple[tuple[Edit, ...], ...]
+    slot_columns: SlotColumns
 
     @cached_property
-    def slot_columns(self) -> SlotColumns:
-        """The columns every scorer variant reads, built on first use."""
-        hyp, records, merged = [], [], []
-        for idx, h, *refs in zip(self.changed_indices, *self.slot_segments):
-            a, b = self.boundary_spans[idx]
-            kept = self.source[a:b]
-            if h == kept:
-                hyp.append(0)
-                record = [1 if r == kept else 2 * max(b - a, len(r)) for r in refs]
-            else:
-                hyp.append(max(b - a, len(h)))
-                record = [
-                    0 if r == kept else 2 * max(b - a, len(r)) + (r == h) for r in refs
-                ]
-            # a match with any reference, a keeping one too, else the shortest change
-            merged.append(1 if h in refs else min(filter(None, record), default=0))
-            records.append(record)
-        columns = tuple(zip(*records)) or ((),) * len(self.annotator_ids)
-        lowest: dict[tuple[int, ...], int] = {}
-        for aid, column in zip(self.annotator_ids, columns):
-            if aid < lowest.get(column, aid + 1):
-                lowest[column] = aid
-        return SlotColumns(
-            tuple(hyp),
-            columns,
-            tuple((aid, column) for column, aid in lowest.items()),
-            tuple(merged),
-            len(self.boundary_spans) - len(self.changed_indices),
-        )
+    def slot_segments(self) -> tuple[tuple[TokenSeq, ...], ...]:
+        """Each sequence's segment at every slot of ``changed_indices``.
+
+        One tuple per sequence in ``edit_sets`` order, spliced on first read:
+        ``chunk_table`` reads it, the scorers never do.
+        """
+        slots = [self.boundary_spans[idx] for idx in self.changed_indices]
+        kept = [self.source[a:b] for a, b in slots]
+        dense = []
+        for edits in self.edit_sets:
+            segments = kept.copy()
+            for k, segment in splice_slots(self.source, edits, slots).items():
+                segments[k] = segment
+            dense.append(tuple(segments))
+        return tuple(dense)
 
 
 def slot_spans(
@@ -98,7 +89,7 @@ def slot_spans(
     the unchanged stretches between slots fill the rest of the source.
     Returns all chunk spans in source order and the indices of the slots.
     """
-    intervals = sorted((e.start, e.end) for edits in edit_sets for e in edits)
+    intervals = sorted([(e.start, e.end) for edits in edit_sets for e in edits])
     spans: list[tuple[int, int]] = []
     changed: list[int] = []
     pos = 0  # end of the last slot
@@ -119,35 +110,44 @@ def slot_spans(
 
 
 def splice_slots(
-    source: TokenSeq, edits: tuple[Edit, ...], slots: list[tuple[int, int, TokenSeq]]
-) -> tuple[TokenSeq, ...]:
-    """The segment of one sequence at each slot ``(a, b, source[a:b])``.
+    source: TokenSeq, edits: tuple[Edit, ...], slots: Sequence[tuple[int, int]]
+) -> dict[int, TokenSeq]:
+    """One sequence's segment at each slot ``k`` where it differs from the source.
 
-    Sorted, checked edits are spliced into the slot's source span; a slot
-    that none of them falls in keeps the span itself.
+    Sorted, checked edits are spliced, in slot order, into the span
+    ``(a, b)`` of the slot they fall in; a lone edit that covers its whole
+    slot gives its own replacement tuple. A slot that no edit falls in, or
+    whose edits give back its span, keeps the span and is left out.
     """
-    segments = [kept for _, _, kept in slots]
+    spliced = {}
     i, n_edits = 0, len(edits)
-    for k, (a, b, _) in enumerate(slots):
+    for k, (a, b) in enumerate(slots):
         if i == n_edits:
             break
-        if edits[i].start > b:
+        e = edits[i]
+        if e.start > b:
             continue
-        out: list[str] = []
-        pos = a
-        while i < n_edits and edits[i].start <= b:
-            e = edits[i]
-            if e.start < pos or e.end > b:
-                raise AssertionError("edit escaped its merged slot")
-            out.extend(source[pos : e.start])
-            out.extend(e.replacement)
-            pos = e.end
+        if e.start == a and e.end == b and (i + 1 == n_edits or edits[i + 1].start > b):
+            segment = e.replacement
             i += 1
-        out.extend(source[pos:b])
-        segments[k] = tuple(out)
+        else:
+            out: list[str] = []
+            pos = a
+            while i < n_edits and edits[i].start <= b:
+                e = edits[i]
+                if e.start < pos or e.end > b:
+                    raise AssertionError("edit escaped its merged slot")
+                out += source[pos : e.start]
+                out += e.replacement
+                pos = e.end
+                i += 1
+            out += source[pos:b]
+            segment = tuple(out)
+        if segment != source[a:b]:
+            spliced[k] = segment
     if i != n_edits:
         raise AssertionError("edit escaped its merged slot")
-    return tuple(segments)
+    return spliced
 
 
 def partition(
@@ -155,16 +155,61 @@ def partition(
     hyp_edits: Sequence[Edit],
     ref_edit_sets: Sequence[tuple[int, Sequence[Edit]]],
 ) -> ChunkedSample:
-    """Segment source, hypothesis and references into aligned chunks."""
+    """Segment source, hypothesis and references into aligned chunks.
+
+    Each sequence is spliced only at the slots its own edits change, and
+    its column of ``SlotColumns`` is filled there, so a reference segment
+    is compared with the source span and the hypothesis segment once.
+    """
     source = tuple(source)
     n = len(source)
     refs = [(aid, check_edits(edits, n)) for aid, edits in ref_edit_sets]
-    edit_sets = [check_edits(hyp_edits, n)] + [edits for _, edits in refs]
+    hyp_edits = check_edits(hyp_edits, n)
+    edit_sets = (hyp_edits, *[edits for _, edits in refs])
     spans, changed = slot_spans(n, edit_sets)
-    slots = [(a, b, source[a:b]) for a, b in (spans[idx] for idx in changed)]
-    segments = tuple(splice_slots(source, edits, slots) for edits in edit_sets)
+    slots = [spans[idx] for idx in changed]
+    hyp_segments = splice_slots(source, hyp_edits, slots)
+    hyp = [0] * len(slots)
+    # a reference keeping a slot matches a hypothesis that kept it too
+    keeping = [1] * len(slots)
+    for k, h in hyp_segments.items():
+        a, b = slots[k]
+        hyp[k] = max(b - a, len(h))
+        keeping[k] = 0
+    # the merged int of each slot the hypothesis changed: 1 where a reference
+    # matches it, else the shortest changed reference chunk's int
+    columns, judged = [], {}
+    for _, edits in refs:
+        column = keeping.copy()
+        for k, r in splice_slots(source, edits, slots).items():
+            a, b = slots[k]
+            column[k] = 2 * max(b - a, len(r))
+            if k not in hyp_segments:
+                continue
+            if r == hyp_segments[k]:
+                column[k] += 1
+                judged[k] = 1
+            elif column[k] < judged.get(k, column[k] + 1):
+                judged[k] = column[k]
+        columns.append(tuple(column))
+    # where the hypothesis kept a slot, each reference int is 1 (a match) or
+    # a change, so the smallest is the merged int
+    merged = list(map(min, zip(*columns))) if columns else [0] * len(slots)
+    for k in hyp_segments:
+        merged[k] = judged.get(k, 0)
+    lowest: dict[tuple[int, ...], int] = {}
+    for (aid, _), column in zip(refs, columns):
+        if aid < lowest.get(column, aid + 1):
+            lowest[column] = aid
+    slot_columns = SlotColumns(
+        tuple(hyp),
+        tuple(columns),
+        tuple(zip(lowest.values(), lowest)),
+        tuple(merged),
+        len(spans) - len(changed),
+    )
     ids = tuple(aid for aid, _ in refs)
-    return ChunkedSample(source, spans, changed, ids, segments)
+    return ChunkedSample(source, spans, changed, ids, edit_sets, slot_columns)
 
 
 def chunk_table(cs: ChunkedSample, only_changed: bool = False) -> list[list[str]]:

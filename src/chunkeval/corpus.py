@@ -206,7 +206,7 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
         if line.startswith("A ") and source is not None:
             # fields[0] keeps the "A " prefix
             fields = line.split("|||")
-            if len(fields) < 6:
+            if len(fields) != 6:
                 raise ParseError(f"expected 6 '|||' fields, got {len(fields)}", lineno)
             span = spans.get(fields[0])
             if span is None:

@@ -205,10 +205,20 @@ def f_beta_formula(p: float, r: float, beta: float = 0.5) -> float:
 
 def accuracy(counts: OutcomeCounts) -> float:
     """(TP + TN) / all outcomes; 1.0 on an empty denominator."""
-    den = counts.tp_w + counts.fp_w + counts.fn_w + counts.tn_w
+    return _accuracy(counts.tp_w, counts.fp_w, counts.fn_w, counts.tn_w)
+
+
+def _accuracy(tp_w: float, fp_w: float, fn_w: float, tn_w: float) -> float:
+    den = tp_w + fp_w + fn_w + tn_w
     if den == 0.0:
         return 1.0
-    return (counts.tp_w + counts.tn_w) / den
+    return (tp_w + tn_w) / den
+
+
+def _ratios(tp_w: float, fp_w: float, fn_w: float, tn_w: float, beta: float) -> tuple:
+    """P, R, F_beta and Acc of weighted totals: the fields of ``Scores``."""
+    p, r = _share(tp_w, fp_w), _share(tp_w, fn_w)
+    return p, r, f_beta_formula(p, r, beta), _accuracy(tp_w, fp_w, fn_w, tn_w)
 
 
 @dataclass(frozen=True)
@@ -220,8 +230,7 @@ class Scores:
 
     @classmethod
     def from_counts(cls, counts: OutcomeCounts, beta: float = 0.5) -> "Scores":
-        p, r = precision_recall(counts)
-        return cls(p, r, f_beta_formula(p, r, beta), accuracy(counts))
+        return cls(*_ratios(counts.tp_w, counts.fp_w, counts.fn_w, counts.tn_w, beta))
 
 
 class _WeightTable(dict):
@@ -277,7 +286,8 @@ class _SlotScorer:
         tn_n += n_unchanged
         return tp_w, fp_w, fn_w, float(tn_n), tp_n, fp_n, fn_n, tn_n
 
-    def dependent(self, cs: ChunkedSample) -> tuple[OutcomeCounts, int | None]:
+    def dependent(self, cs: ChunkedSample) -> tuple[tuple, int | None]:
+        """The totals of the best distinct reference column, and its id."""
         columns = cs.slot_columns
         if not columns.distinct:
             return self.independent(cs), None
@@ -290,11 +300,12 @@ class _SlotScorer:
             key = (f, tp_w, -aid)
             if best_key is None or key > best_key:
                 best_key, best_totals, best_aid = key, totals, aid
-        return OutcomeCounts(*best_totals), best_aid
+        return best_totals, best_aid
 
-    def independent(self, cs: ChunkedSample) -> OutcomeCounts:
+    def independent(self, cs: ChunkedSample) -> tuple:
+        """The totals of the merged column."""
         columns = cs.slot_columns
-        return OutcomeCounts(*self._sum(columns.hyp, columns.merged, columns.n_unchanged))
+        return self._sum(columns.hyp, columns.merged, columns.n_unchanged)
 
 
 def score_sentence_dependent(
@@ -307,7 +318,8 @@ def score_sentence_dependent(
     counts and annotator id (None for a sample without references, which is
     scored as if against an edit-free reference).
     """
-    return _SlotScorer(cfg, fn_on_mismatch).dependent(cs)
+    totals, aid = _SlotScorer(cfg, fn_on_mismatch).dependent(cs)
+    return OutcomeCounts(*totals), aid
 
 
 def score_sentence_independent(
@@ -320,7 +332,7 @@ def score_sentence_independent(
     slot, in which case keeping the source matches no reference and counts
     as an FN.
     """
-    return _SlotScorer(cfg, fn_on_mismatch).independent(cs)
+    return OutcomeCounts(*_SlotScorer(cfg, fn_on_mismatch).independent(cs))
 
 
 def aggregate_sentence(per_sentence: Sequence[Scores]) -> Scores:
@@ -375,22 +387,22 @@ def run_variant(
     key = (assumption, level, cfg, fn_on_mismatch)
     if scored and key in scored:
         return replace(scored[key], variant=variant, counts=replace(scored[key].counts))
-    per_sentence: list[OutcomeCounts] = []
-    chosen: list[int | None] = []
-    for cs in chunked:
-        if assumption == "dep":
-            counts, aid = scorer.dependent(cs)
-            chosen.append(aid)
-        else:
-            counts = scorer.independent(cs)
-        per_sentence.append(counts)
-    totals = sum_counts(per_sentence)
+    chosen: tuple[int | None, ...] = ()
+    if assumption == "dep":
+        picks = [scorer.dependent(cs) for cs in chunked]
+        per_sentence = [totals for totals, _ in picks]
+        chosen = tuple(aid for _, aid in picks)
+    else:
+        per_sentence = [scorer.independent(cs) for cs in chunked]
+    # the eight OutcomeCounts fields over all sentences, reduced as sum_counts does
+    columns = list(zip(*per_sentence)) or [()] * 8
+    totals = OutcomeCounts(*map(math.fsum, columns[:4]), *map(sum, columns[4:]))
     if level == "corpus":
         scores = Scores.from_counts(totals, cfg.beta)
     else:
-        scores = aggregate_sentence(
-            [Scores.from_counts(c, cfg.beta) for c in per_sentence]
-        )
+        # per-sentence Scores fields, averaged as aggregate_sentence does
+        ratios = list(zip(*(_ratios(*t[:4], cfg.beta) for t in per_sentence))) or [()] * 4
+        scores = Scores(*(math.fsum(r) / len(per_sentence) for r in ratios))
     if scored is not None:
-        scored[key] = VariantResult(variant, replace(totals), scores, tuple(chosen))
-    return VariantResult(variant, totals, scores, tuple(chosen))
+        scored[key] = VariantResult(variant, replace(totals), scores, chosen)
+    return VariantResult(variant, totals, scores, chosen)

@@ -61,7 +61,7 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
     for lineno, line in enumerate(split_lines(text), 1):
         if line.startswith("A ") and source is not None:
             fields = line[2:].split("|||")
-            if len(fields) < 6:
+            if len(fields) != 6:
                 raise ParseError(f"expected 6 '|||' fields, got {len(fields)}", lineno)
             span = fields[0].split()
             if len(span) != 2:

@@ -3,6 +3,8 @@
 This is the per-slot scorer that ``chunkeval.scoring`` used before it summed
 compact slot records. It reads the chunks themselves and adds each outcome
 as it is found, so tests compare the record-based scorer with it exactly.
+``run_variant`` is the dataset reduction ``chunkeval.run_variant`` used
+before it reduced per-sentence totals column by column.
 """
 
 import math
@@ -10,15 +12,21 @@ from collections.abc import Sequence
 
 from partition_oracle import CORRECTED, Chunk, ChunkedSample, chunk_length
 
+import chunkeval
 from chunkeval import (
     NoChunksError,
     OutcomeCounts,
+    Scores,
+    VariantResult,
     WeightConfig,
+    accuracy,
+    aggregate_sentence,
     f_beta_formula,
     length_weight,
     precision_recall,
+    sum_counts,
 )
-from chunkeval.scoring import FN_BOTH, FN_FP_ONLY
+from chunkeval.scoring import FN_BOTH, FN_FP_ONLY, parse_variant
 
 
 def add(counts: OutcomeCounts, outcome: str, weight: float) -> None:
@@ -114,3 +122,37 @@ def score_sentence_independent(
     """
     refs = [chunks for _, chunks in cs.ref_chunks]
     return _score_slots(cs, refs, cfg, fn_on_mismatch)
+
+
+def _scores(counts: OutcomeCounts, beta: float) -> Scores:
+    p, r = precision_recall(counts)
+    return Scores(p, r, f_beta_formula(p, r, beta), accuracy(counts))
+
+
+def run_variant(
+    chunked: Sequence[chunkeval.ChunkedSample],
+    variant: str,
+    cfg: WeightConfig,
+    fn_on_mismatch: str = FN_FP_ONLY,
+) -> VariantResult:
+    """Score ``chunkeval`` samples with an ``OutcomeCounts`` per sentence.
+
+    The counts are summed by ``sum_counts``; at sentence level each
+    sentence's ``Scores`` is built and ``aggregate_sentence`` averages them.
+    """
+    assumption, level = parse_variant(variant)
+    per_sentence: list[OutcomeCounts] = []
+    chosen: list[int | None] = []
+    for cs in chunked:
+        if assumption == "dep":
+            counts, aid = chunkeval.score_sentence_dependent(cs, cfg, fn_on_mismatch)
+            chosen.append(aid)
+        else:
+            counts = chunkeval.score_sentence_independent(cs, cfg, fn_on_mismatch)
+        per_sentence.append(counts)
+    totals = sum_counts(per_sentence)
+    if level == "corpus":
+        scores = _scores(totals, cfg.beta)
+    else:
+        scores = aggregate_sentence([_scores(c, cfg.beta) for c in per_sentence])
+    return VariantResult(variant, totals, scores, tuple(chosen))

@@ -331,6 +331,75 @@ class TestPartitionProperties:
                 assert len(cs.boundary_spans) >= 2
 
 
+RARE_SOURCE = ("a", "b", "c", "d", "e", "f")
+# Cases that ``random_case`` seldom draws. A no-op edit writes back its own
+# span; most cases share the slot (1, 3) or (2, 4).
+RARE_CASES = {
+    "no-op-in-hypothesis": (
+        [Edit(1, 2, ("b",))],
+        [(0, [Edit(1, 2, ("x",))]), (1, []), (2, [Edit(2, 3, ("c", "c"))])],
+    ),
+    "no-op-in-references": (
+        [Edit(1, 2, ("x",))],
+        [
+            (0, [Edit(1, 2, ("b",))]),
+            (1, [Edit(1, 3, ("b", "c"))]),
+            (2, [Edit(1, 2, ("x",))]),
+        ],
+    ),
+    "no-op-everywhere": (
+        [Edit(1, 3, ("b", "c"))],
+        [(0, [Edit(1, 2, ("b",)), Edit(2, 3, ("c",))]), (1, [Edit(2, 3, ("c",))])],
+    ),
+    "several-edits-in-one-slot": (
+        [Edit(1, 2, ("x",)), Edit(2, 3, ()), Edit(3, 3, ("y",))],
+        [
+            (0, [Edit(1, 2, ("x",)), Edit(2, 3, ()), Edit(3, 3, ("y",))]),
+            (1, [Edit(1, 3, ())]),
+        ],
+    ),
+    "several-edits-matching-one-edit": (
+        [Edit(1, 2, ("x",)), Edit(2, 3, ("y",))],
+        [
+            (0, [Edit(1, 3, ("x", "y"))]),
+            (1, [Edit(1, 1, ("x",)), Edit(1, 2, ("y",)), Edit(2, 3, ())]),
+        ],
+    ),
+    "insertions-at-both-ends-in-references": (
+        [Edit(2, 4, ("x",))],
+        [
+            (0, [Edit(2, 2, ("p",)), Edit(4, 4, ("q",))]),
+            (1, [Edit(4, 4, ("q",))]),
+            (2, [Edit(2, 2, ("x",)), Edit(2, 4, ())]),
+        ],
+    ),
+    "insertions-at-both-ends-in-hypothesis": (
+        [Edit(2, 2, ("p",)), Edit(2, 4, ("c", "d")), Edit(4, 4, ("q",))],
+        [
+            (0, [Edit(2, 4, ("p", "c", "d", "q"))]),
+            (1, [Edit(3, 4, ("z",))]),
+            (2, [Edit(2, 4, ("c",)), Edit(4, 4, ("q",))]),
+        ],
+    ),
+    "lone-edit-covering-its-slot": (
+        [Edit(1, 3, ("x",))],
+        [
+            (0, [Edit(1, 3, ("x",))]),
+            (1, [Edit(1, 2, ("y",)), Edit(2, 3, ("z",))]),
+            (2, [Edit(1, 3, ())]),
+        ],
+    ),
+    "lone-insertion-covering-its-slot": (
+        [Edit(3, 3, ("x",))],
+        [(0, [Edit(3, 3, ("x",))]), (1, [Edit(3, 3, ("y", "z"))]), (2, [Edit(5, 6, ())])],
+    ),
+    "lone-edits-covering-their-slots-without-references": (
+        [Edit(0, 1, ("a",)), Edit(2, 2, ("x",)), Edit(4, 6, ())],
+        [],
+    ),
+}
+
+
 class TestMatchesPartitionOracle:
     """The slot-first partition against the chunk-building one it replaced."""
 
@@ -345,11 +414,24 @@ class TestMatchesPartitionOracle:
             for refs in (refs, shuffler.sample(refs, len(refs))):
                 self.check(source, hyp_edits, refs)
 
+    @pytest.mark.parametrize("hyp_edits, refs", RARE_CASES.values(), ids=RARE_CASES)
+    def test_cases_the_generator_rarely_draws(self, hyp_edits, refs):
+        self.check(RARE_SOURCE, hyp_edits, refs)
+        self.check(RARE_SOURCE, hyp_edits, refs[::-1])
+
     @staticmethod
     def check(source, hyp_edits, refs):
         cs = partition(source, hyp_edits, refs)
         want = partition_oracle.partition(source, hyp_edits, refs)
-        assert chunk_views(cs) == want
+        sequences = [want.hyp_chunks] + [chunks for _, chunks in want.ref_chunks]
+        dense = tuple(
+            tuple(chunks[idx].segment for idx in want.changed_indices)
+            for chunks in sequences
+        )
+        # the lazy dense view read first, before ``slot_columns``
+        first = partition(source, hyp_edits, refs)
+        assert first.slot_segments == dense
+        assert first.slot_columns == cs.slot_columns
         assert cs.annotator_ids == tuple(aid for aid, _ in refs)
         # the oracle's records are the columns of ``slot_columns``
         columns, records = cs.slot_columns, want.slot_records
@@ -369,11 +451,9 @@ class TestMatchesPartitionOracle:
         if list(cs.annotator_ids) == sorted(cs.annotator_ids):
             assert columns.distinct == earlier
         assert columns.n_unchanged == len(cs.boundary_spans) - len(records)
-        sequences = [want.hyp_chunks] + [chunks for _, chunks in want.ref_chunks]
-        assert cs.slot_segments == tuple(
-            tuple(chunks[idx].segment for idx in want.changed_indices)
-            for chunks in sequences
-        )
+        # and read after it
+        assert chunk_views(cs) == want
+        assert cs.slot_segments == dense
 
 
 BAD_EDITS = {

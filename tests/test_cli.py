@@ -11,10 +11,12 @@ from conftest import random_case
 from chunkeval import (
     VARIANTS,
     AnnotatedSample,
+    ChunkedSample,
     Edit,
     WeightConfig,
     apply_edits,
     emit_m2,
+    extract_edits,
     load_human_table,
     load_metric_scores,
     parse_m2,
@@ -285,6 +287,14 @@ class TestEvaluate:
         code, _, err = run(capsys, ["evaluate", str(bad), str(data / "ref.m2")])
         assert code == 3
         assert "line" in err
+
+    def test_seventh_m2_field_is_data_error_naming_the_line(self, data, tmp_path, capsys):
+        ref = tmp_path / "seven.m2"
+        line = "A 2 3|||VERB|||have|||REQUIRED|||-NONE-|||0"
+        ref.write_text(REF_M2.replace(line, line + "|||junk"), encoding="utf-8")
+        code, out, err = run(capsys, ["evaluate", str(data / "ref0-as-hyp.txt"), str(ref)])
+        assert (code, out) == (3, "")
+        assert err == "chunkeval: line 3: expected 6 '|||' fields, got 7\n"
 
     def test_missing_file_is_data_error(self, data, capsys):
         code, _, err = run(
@@ -1203,6 +1213,49 @@ class TestGarbageCollector:
             cycles(argvs[0])  # fill the module-level caches first
             left = [cycles(argv) for argv in argvs]
             assert left[0] == left[1] == left[2] > 0, (argvs[0][0], left)
+
+
+class TestDenseViewUnread:
+    """``evaluate`` reads only ``slot_columns``; ``chunks`` reads ``slot_segments``."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        d = _write_corpus(tmp_path / "c", 40, (1, 6), seed=29, copied=0.3)
+        samples = parse_m2((d / "ref.m2").read_text(encoding="utf-8"))
+        lines = (d / "hyp.txt").read_text(encoding="utf-8").splitlines()
+        hyps = [
+            AnnotatedSample(s.source, {0: extract_edits(s.source, tokenize(line))})
+            for s, line in zip(samples, lines)
+        ]
+        (d / "hyp.m2").write_text(emit_m2(hyps), encoding="utf-8")
+        return d
+
+    @staticmethod
+    def refuse_dense_view(monkeypatch):
+        def refuse(self):
+            raise AssertionError("the dense slot_segments view was built")
+
+        monkeypatch.setattr(ChunkedSample, "slot_segments", property(refuse))
+
+    @pytest.mark.parametrize("mode", ["fp-only", "both"])
+    @pytest.mark.parametrize("hyp_format", ["text", "m2"])
+    def test_evaluate_never_builds_the_dense_view(
+        self, corpus, capsys, monkeypatch, hyp_format, mode
+    ):
+        hyp = corpus / ("hyp.m2" if hyp_format == "m2" else "hyp.txt")
+        argv = ["evaluate", str(hyp), str(corpus / "ref.m2"), "--hyp-format", hyp_format]
+        argv += ["--fn-on-mismatch", mode, *[f"--variant={v}" for v in VARIANTS]]
+        want = run(capsys, argv)
+        assert want[0] == 0
+        self.refuse_dense_view(monkeypatch)
+        assert run(capsys, argv) == want
+
+    def test_chunks_reads_the_dense_view(self, corpus, capsys, monkeypatch):
+        argv = ["chunks", str(corpus / "hyp.txt"), str(corpus / "ref.m2")]
+        assert run(capsys, argv)[0] == 0
+        self.refuse_dense_view(monkeypatch)
+        with pytest.raises(AssertionError, match="dense slot_segments view"):
+            main(argv)
 
 
 # Request orders of the eight variants: each twin after, before or without its base.

@@ -244,6 +244,22 @@ class TestParseM2:
         with pytest.raises(ParseError):
             parse_m2("S a\nA 0 1|||X|||q\n")
 
+    @pytest.mark.parametrize(
+        "tail", ["|||junk", "|||", "|||anything|||at all"], ids=["word", "empty", "two"]
+    )
+    def test_extra_fields_rejected(self, tail):
+        line = "A 0 1|||R|||x|||REQUIRED|||-NONE-|||0" + tail
+        with pytest.raises(ParseError) as err:
+            parse_m2("S a b\n" + line + "\n")
+        n = 6 + tail.count("|||")
+        assert (str(err.value), err.value.line) == (
+            f"line 2: expected 6 '|||' fields, got {n}",
+            2,
+        )
+        with pytest.raises(ParseError) as oracle_err:
+            m2_oracle.parse_m2("S a b\n" + line + "\n")
+        assert str(oracle_err.value) == str(err.value)
+
     def test_empty_insertion_rejected(self):
         with pytest.raises(ParseError):
             parse_m2("S a\nA 0 0|||X|||-NONE-|||REQUIRED|||-NONE-|||0\n")

@@ -12,6 +12,7 @@ import scoring_oracle
 from conftest import random_case
 
 from chunkeval import (
+    VARIANTS,
     AnnotatedSample,
     Edit,
     NoChunksError,
@@ -333,6 +334,62 @@ class TestMatchesSlotOracle:
                     for old in old_batch
                 ]
             assert self.bits(result.counts) == self.bits(sum_counts(want))
+
+
+class TestRunVariantMatchesOracle:
+    """``run_variant`` against the reduction that built objects per sentence."""
+
+    @staticmethod
+    def bits(result):
+        values = [*dataclasses.astuple(result.counts), *dataclasses.astuple(result.scores)]
+        floats = [v.hex() if isinstance(v, float) else v for v in values]
+        return result.variant, floats, result.chosen_refs
+
+    def test_float_for_float_on_every_variant_mode_and_profile(self):
+        rng = random.Random(101)
+        cases = []
+        for _ in range(300):
+            source, hyp_edits, refs = random_case(rng, min_refs=0, max_refs=10)
+            if refs and rng.random() < 0.3:  # make TPs common
+                hyp_edits = list(rng.choice(refs)[1])
+            cases.append((source, hyp_edits, refs))
+        batch = [partition(*case) for case in cases]
+        ell = compute_ell(batch)
+        custom = WeightConfig(
+            alpha_tp=3.0,
+            alpha_fp=5.0,
+            alpha_fn=1.5,
+            clip_tp=(0.5, 2.0),
+            clip_fp=(0.2, 3.0),
+            clip_fn=(0.9, 1.1),
+            ell=ell + 0.5,
+            beta=2.0,
+        )
+        for variant in VARIANTS:
+            own = replace(default_config(variant), ell=ell)
+            profiles = [
+                unweighted(own),
+                own,
+                replace(default_config("sent-indep"), ell=ell - 0.25),
+                custom,
+            ]
+            for cfg in profiles:
+                for mode in FN_MODES:
+                    for dataset in (batch, batch[:1], batch[::7]):
+                        got = run_variant(dataset, variant, cfg, mode)
+                        want = scoring_oracle.run_variant(dataset, variant, cfg, mode)
+                        assert self.bits(got) == self.bits(want), (variant, cfg, mode)
+
+    def test_an_empty_dataset_is_reduced_alike(self):
+        cfg = default_config("dep")
+        for variant in VARIANTS:
+            if parse_variant(variant)[1] == "corpus":
+                got = run_variant([], variant, cfg)
+                assert self.bits(got) == self.bits(scoring_oracle.run_variant([], variant, cfg))
+            else:
+                for run in (run_variant, scoring_oracle.run_variant):
+                    with pytest.raises(ZeroDivisionError):
+                        run([], variant, cfg)
 
 
 class TestFBeta:
