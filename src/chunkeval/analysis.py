@@ -3,7 +3,8 @@
 Boundary statistics hold each annotator out in turn, merge the remaining
 annotators' edits into changed slots, and classify every held-out edit as
 falling inside a changed slot (ICC), inside an unchanged chunk (IUC), or
-crossing a boundary (CC).
+crossing a boundary (CC). The chunk statistics of ``corpus_stats`` splice
+each reference through ``chunker.splice_slots``, as ``partition`` does.
 """
 
 import math
@@ -122,9 +123,10 @@ def corpus_stats(samples: Sequence[AnnotatedSample]) -> dict:
 
     Every reference has every chunk of its sentence's shared segmentation.
     Each chunk starts as unchanged, and an insertion slot as a dummy chunk,
-    which counts as neither. Only the slots that a reference's own edits
-    fall in are visited: where its segment differs from the source span,
-    the chunk counts as changed instead. Counts and token sums are ints.
+    which counts as neither. ``splice_slots`` splices each reference: at a
+    slot ``(a, b)`` where it yields a segment, the chunk counts as changed
+    instead, with the larger of the two lengths, and the reference's length
+    gains ``len(segment) - (b - a)``. Counts and token sums are ints.
     """
     n_refs = ref_sum = n_edits = edit_sum = 0
     n_unchanged = unchanged_sum = n_changed = changed_sum = 0
@@ -133,39 +135,24 @@ def corpus_stats(samples: Sequence[AnnotatedSample]) -> dict:
         refs = [sample.annotations[aid] for aid in sample.annotator_ids]
         spans, changed = slot_spans(n, refs)
         slots = [spans[k] for k in changed]
+        kept = [source[a:b] for a, b in slots]
         # the unchanged spans and the non-empty slots cover the source
         n_unchanged += (len(spans) - sum(a == b for a, b in slots)) * len(refs)
         unchanged_sum += n * len(refs)
         n_refs += len(refs)
+        ref_sum += n * len(refs)
         for edits in refs:
             n_edits += len(edits)
-            ref_sum += n
-            i = k = 0
-            while i < len(edits):
-                first = edits[i]
-                while slots[k][1] < first.start:
-                    k += 1
-                a, b = slots[k]
-                j = i + 1
-                while j < len(edits) and edits[j].start <= b:
-                    j += 1
-                growth = 0
-                for e in edits[i:j]:
-                    edit_sum += len(e.replacement)
-                    growth += len(e.replacement) - e.end + e.start
-                ref_sum += growth
-                # an equal length may still be a reordering, or a no-op edit
-                if growth or (
-                    first.replacement != source[first.start : first.end]
-                    if j == i + 1
-                    else splice_slots(source, edits[i:j], [(a, b)])
-                ):
-                    if a < b:
-                        n_unchanged -= 1
-                        unchanged_sum -= b - a
-                    n_changed += 1
-                    changed_sum += b - a + max(growth, 0)
-                i = j
+            for e in edits:
+                edit_sum += len(e.replacement)
+            for k, segment in splice_slots(source, edits, slots, kept):
+                width, length = len(kept[k]), len(segment)
+                ref_sum += length - width
+                if width:
+                    n_unchanged -= 1
+                    unchanged_sum -= width
+                n_changed += 1
+                changed_sum += length if length > width else width
 
     n_chunks = n_unchanged + n_changed
     return {

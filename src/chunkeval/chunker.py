@@ -3,12 +3,13 @@
 The edit sets of the hypothesis and all references are pooled; edits whose
 closed source intervals touch or overlap are merged into one changed slot.
 Every sequence is then segmented into the same number of chunks: the slots
-plus the unchanged stretches between them. A sequence is spliced only at
-the slots its own edits fall in, and what the scorers read is stored as
-columns of small ints; every other chunk is the source span itself.
+plus the unchanged stretches between them. ``splice_slots`` is the one walk
+that splices a sequence, here and in ``analysis.corpus_stats``: it visits
+only the slots that sequence's own edits fall in. What the scorers read is
+stored as columns of small ints; every other chunk is the source span itself.
 """
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -66,15 +67,16 @@ class ChunkedSample:
     def slot_segments(self) -> tuple[tuple[TokenSeq, ...], ...]:
         """Each sequence's segment at every slot of ``changed_indices``.
 
-        One tuple per sequence in ``edit_sets`` order, spliced on first read:
-        ``chunk_table`` reads it, the scorers never do.
+        One tuple per sequence in ``edit_sets`` order, spliced by
+        ``splice_slots`` on first read: ``chunk_table`` reads it, the scorers
+        never do.
         """
         slots = [self.boundary_spans[idx] for idx in self.changed_indices]
         kept = [self.source[a:b] for a, b in slots]
         dense = []
         for edits in self.edit_sets:
             segments = kept.copy()
-            for k, segment in splice_slots(self.source, edits, slots).items():
+            for k, segment in splice_slots(self.source, edits, slots, kept):
                 segments[k] = segment
             dense.append(tuple(segments))
         return tuple(dense)
@@ -110,26 +112,37 @@ def slot_spans(
 
 
 def splice_slots(
-    source: TokenSeq, edits: tuple[Edit, ...], slots: Sequence[tuple[int, int]]
-) -> dict[int, TokenSeq]:
-    """One sequence's segment at each slot ``k`` where it differs from the source.
+    source: TokenSeq, edits: tuple[Edit, ...], slots: list[tuple[int, int]], kept: list[TokenSeq]
+) -> Iterator[tuple[int, TokenSeq]]:
+    """Yield ``(k, segment)`` at each slot where one sequence differs from the source.
 
-    Sorted, checked edits are spliced, in slot order, into the span
-    ``(a, b)`` of the slot they fall in; a lone edit that covers its whole
-    slot gives its own replacement tuple. A slot that no edit falls in, or
-    whose edits give back its span, keeps the span and is left out.
+    Sorted, checked edits move a pointer over ``slots``, so a slot that no
+    edit falls in is never visited. The edits of slot ``k`` are spliced into
+    its span ``(a, b)``; a lone edit that covers the whole slot gives its own
+    replacement tuple. ``kept`` holds each slot's source span, sliced once by
+    the caller; a segment equal to it is not yielded. An edit outside every
+    slot raises ``AssertionError``, also under ``python -O``.
     """
-    spliced = {}
-    i, n_edits = 0, len(edits)
-    for k, (a, b) in enumerate(slots):
-        if i == n_edits:
-            break
+    n_edits = len(edits)
+    # the last edit starts last: past the last slot, the pointer would run off
+    if edits and (not slots or edits[-1].start > slots[-1][1]):
+        raise AssertionError("edit escaped its merged slot")
+    i = k = 0
+    while i < n_edits:
         e = edits[i]
-        if e.start > b:
-            continue
-        if e.start == a and e.end == b and (i + 1 == n_edits or edits[i + 1].start > b):
-            segment = e.replacement
+        start = e.start
+        while slots[k][1] < start:
+            k += 1
+        a, b = slots[k]
+        if i + 1 == n_edits or edits[i + 1].start > b:
             i += 1
+            end = e.end
+            if start == a and end == b:
+                segment = e.replacement
+            elif a <= start and end <= b:
+                segment = source[a:start] + e.replacement + source[end:b]
+            else:
+                raise AssertionError("edit escaped its merged slot")
         else:
             out: list[str] = []
             pos = a
@@ -143,11 +156,8 @@ def splice_slots(
                 i += 1
             out += source[pos:b]
             segment = tuple(out)
-        if segment != source[a:b]:
-            spliced[k] = segment
-    if i != n_edits:
-        raise AssertionError("edit escaped its merged slot")
-    return spliced
+        if segment != kept[k]:
+            yield k, segment
 
 
 def partition(
@@ -157,9 +167,10 @@ def partition(
 ) -> ChunkedSample:
     """Segment source, hypothesis and references into aligned chunks.
 
-    Each sequence is spliced only at the slots its own edits change, and
-    its column of ``SlotColumns`` is filled there, so a reference segment
-    is compared with the source span and the hypothesis segment once.
+    The source spans of the slots are sliced once; ``splice_slots`` splices
+    each sequence, and its column of ``SlotColumns`` is filled at the slots
+    it yields, so a reference segment is compared with the hypothesis
+    segment once.
     """
     source = tuple(source)
     n = len(source)
@@ -168,22 +179,21 @@ def partition(
     edit_sets = (hyp_edits, *[edits for _, edits in refs])
     spans, changed = slot_spans(n, edit_sets)
     slots = [spans[idx] for idx in changed]
-    hyp_segments = splice_slots(source, hyp_edits, slots)
+    kept = [source[a:b] for a, b in slots]
+    hyp_segments = dict(splice_slots(source, hyp_edits, slots, kept))
     hyp = [0] * len(slots)
     # a reference keeping a slot matches a hypothesis that kept it too
     keeping = [1] * len(slots)
     for k, h in hyp_segments.items():
-        a, b = slots[k]
-        hyp[k] = max(b - a, len(h))
+        hyp[k] = max(len(kept[k]), len(h))
         keeping[k] = 0
     # the merged int of each slot the hypothesis changed: 1 where a reference
     # matches it, else the shortest changed reference chunk's int
     columns, judged = [], {}
     for _, edits in refs:
         column = keeping.copy()
-        for k, r in splice_slots(source, edits, slots).items():
-            a, b = slots[k]
-            column[k] = 2 * max(b - a, len(r))
+        for k, r in splice_slots(source, edits, slots, kept):
+            column[k] = 2 * max(len(kept[k]), len(r))
             if k not in hyp_segments:
                 continue
             if r == hyp_segments[k]:

@@ -87,8 +87,8 @@ _set_start, _set_end, _set_replacement, _set_type_label = (
 
 
 class _CheckedEdits(tuple):
-    """Edits that ``check_edits`` sorted and found disjoint, or that
-    ``parse_m2`` read in that order, so ends ascend."""
+    """Edits, at least one, that ``check_edits`` sorted and found disjoint,
+    or that ``parse_m2`` read in that order, so ends ascend."""
 
     __slots__ = ()
 
@@ -96,22 +96,22 @@ class _CheckedEdits(tuple):
 def check_edits(edits: Iterable[Edit], source_len: int) -> tuple[Edit, ...]:
     """Sort edits by (start, end), then check every bound, then every pair.
 
-    Of ``_CheckedEdits``, only the last end is checked again.
+    ``_CheckedEdits`` whose last end, the largest, is in bounds come back as they are.
     """
-    checked = type(edits) is _CheckedEdits
-    ordered = edits if checked else tuple(sorted(edits, key=lambda e: (e.start, e.end)))
-    # the ends of checked edits ascend, so the last end is the largest
-    if ordered and (ordered[-1].end if checked else max(e.end for e in ordered)) > source_len:
+    if type(edits) is _CheckedEdits and edits[-1].end <= source_len:
+        return edits
+    ordered = tuple(sorted(edits, key=lambda e: (e.start, e.end)))
+    if ordered and max(e.end for e in ordered) > source_len:
         e = next(e for e in ordered if e.end > source_len)
         raise BoundsError(f"edit [{e.start}, {e.end}) exceeds source length {source_len}")
-    for a, b in () if checked else zip(ordered, ordered[1:]):
+    for a, b in zip(ordered, ordered[1:]):
         if a.end > b.start:
             raise OverlapError(
                 f"edits [{a.start}, {a.end}) and [{b.start}, {b.end}) overlap"
             )
         if a.start == a.end == b.start == b.end:
             raise OverlapError(f"two insertions at position {a.start}")
-    return ordered if checked or not ordered else _CheckedEdits(ordered)
+    return _CheckedEdits(ordered) if ordered else ordered
 
 
 @dataclass(frozen=True)

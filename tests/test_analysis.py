@@ -214,6 +214,7 @@ class TestCorpusStats:
         # each batch is checked as drawn and with some edits made no-ops
         rng, noop_rng = random.Random(61), random.Random(62)
         no_edits = insertion_slots = noop_edits = equal_length_slots = 0
+        lone_covering = lone_inside = shared_slots = kept_segments = 0
         for _ in range(40):
             samples = []
             for _ in range(20):
@@ -246,10 +247,24 @@ class TestCorpusStats:
                             equal_length_slots += len(inside) > 1 and not sum(
                                 len(e.replacement) - (e.end - e.start) for e in inside
                             )
-        # the branches of corpus_stats' walk: an edit-free reference, a no-op
-        # edit, and a slot where one reference's edits keep the span's length
+                            if len(inside) == 1:
+                                covers = (inside[0].start, inside[0].end) == (a, b)
+                                lone_covering += covers
+                                lone_inside += not covers
+                            shared_slots += len(inside) > 1
+                            span = s.source[a:b]
+                            kept_segments += bool(inside) and span == apply_edits(
+                                span, [Edit(e.start - a, e.end - a, e.replacement) for e in inside]
+                            )
+        # an edit-free reference, a no-op edit, and a slot where one
+        # reference's edits keep the span's length
         assert no_edits > 100 and insertion_slots > 100
         assert noop_edits > 100 and equal_length_slots > 100
+        # the branches of splice_slots: a lone edit covering its slot or inside
+        # a wider one, several edits of one reference in a slot, and a spliced
+        # segment that equals its span
+        assert lone_covering > 100 and lone_inside > 100
+        assert shared_slots > 100 and kept_segments > 100
 
 
 def with_noop_edits(rng, sample):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -16,11 +17,12 @@ from chunkeval import (
     OverlapError,
     apply_edits,
     chunk_table,
+    corpus_stats,
     extract_edits,
     partition,
     tokenize,
 )
-from chunkeval import chunker
+from chunkeval import analysis, chunker
 from chunkeval.chunker import slot_spans
 
 FIG_SRC = ("the", "technologies", "were")
@@ -493,11 +495,18 @@ class TestPartitionRejectsBadEdits:
 
 
 # slot layouts that a correct merge never gives: an edit ends past its slot,
-# or starts after the last one
+# or starts after the last one, or there is no slot at all
 ESCAPING_SLOTS = [
     (((0, 1), (1, 3)), (0,)),
     (((0, 0), (0, 3)), (0,)),
+    (((0, 3),), ()),
 ]
+
+
+def escaped_view(layout):
+    """A ``ChunkedSample`` of the edit ``[1, 2)`` whose slots are ``layout``."""
+    cs = partition(("a", "b", "c"), [Edit(1, 2, ("x",))], [])
+    return dataclasses.replace(cs, boundary_spans=layout[0], changed_indices=layout[1])
 
 
 class TestEscapedSlot:
@@ -507,15 +516,41 @@ class TestEscapedSlot:
         with pytest.raises(AssertionError, match="escaped its merged slot"):
             partition(("a", "b", "c"), [Edit(1, 2, ("x",))], [])
 
+    @pytest.mark.parametrize("layout", ESCAPING_SLOTS)
+    def test_dense_view_raises(self, layout):
+        with pytest.raises(AssertionError, match="escaped its merged slot"):
+            chunk_table(escaped_view(layout))
+
+    @pytest.mark.parametrize("layout", ESCAPING_SLOTS)
+    def test_corpus_stats_raises(self, monkeypatch, layout):
+        monkeypatch.setattr(analysis, "slot_spans", lambda n, edit_sets: layout)
+        sample = AnnotatedSample(("a", "b", "c"), {0: (Edit(1, 2, ("x",)),)})
+        with pytest.raises(AssertionError, match="escaped its merged slot"):
+            corpus_stats([sample])
+
     def test_raised_without_assert_statements(self):
-        # ``python -O`` strips assert statements; the check must still run
+        # ``python -O`` strips assert statements; the check must still run on
+        # every layout, through partition, the dense view and corpus_stats
         code = (
-            "from chunkeval import Edit, chunker\n"
-            f"chunker.slot_spans = lambda n, edit_sets: {ESCAPING_SLOTS[0]!r}\n"
-            "try:\n"
-            "    chunker.partition(('a', 'b', 'c'), [Edit(1, 2, ('x',))], [])\n"
-            "except AssertionError as exc:\n"
-            "    print(exc)\n"
+            "import dataclasses\n"
+            "from chunkeval import AnnotatedSample, Edit, analysis, chunk_table, chunker\n"
+            "edit = Edit(1, 2, ('x',))\n"
+            "cs = chunker.partition(('a', 'b', 'c'), [edit], [])\n"
+            "sample = AnnotatedSample(('a', 'b', 'c'), {0: (edit,)})\n"
+            f"for layout in {ESCAPING_SLOTS!r}:\n"
+            "    view = dataclasses.replace(\n"
+            "        cs, boundary_spans=layout[0], changed_indices=layout[1]\n"
+            "    )\n"
+            "    chunker.slot_spans = analysis.slot_spans = lambda n, edit_sets: layout\n"
+            "    for run in (\n"
+            "        lambda: chunker.partition(('a', 'b', 'c'), [edit], []),\n"
+            "        lambda: chunk_table(view),\n"
+            "        lambda: analysis.corpus_stats([sample]),\n"
+            "    ):\n"
+            "        try:\n"
+            "            run()\n"
+            "        except AssertionError as exc:\n"
+            "            print(exc)\n"
         )
         src = str(Path(chunker.__file__).parents[1])
         done = subprocess.run(
@@ -524,4 +559,5 @@ class TestEscapedSlot:
             text=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert done.stdout == "edit escaped its merged slot\n", done.stderr
+        expected = "edit escaped its merged slot\n" * (3 * len(ESCAPING_SLOTS))
+        assert done.stdout == expected, done.stderr

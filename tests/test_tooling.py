@@ -2,8 +2,9 @@
 
 The package's ``__version__`` is the version ``pyproject.toml`` declares,
 ``__all__`` lists exactly what the package imports, each ``WeightConfig``
-field has one ``evaluate`` flag, and ``corpus.split_lines`` is the one line
-splitter.
+field has one ``evaluate`` flag, ``corpus.split_lines`` is the one line
+splitter, and ``chunker.splice_slots`` the one code that splices edits into
+slots.
 """
 
 import ast
@@ -145,3 +146,34 @@ def test_split_lines_is_the_only_line_splitter():
                 (inside if id(node) in own else outside).append((name, node.lineno))
     assert [name for name, _ in inside] == ["corpus.py"]
     assert outside == []
+
+
+def _joins_a_replacement(node) -> bool:
+    """Whether ``node`` joins an edit's ``replacement`` onto other tokens."""
+
+    def replacement(n):
+        return isinstance(n, ast.Attribute) and n.attr == "replacement"
+
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+        return replacement(node.value)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return replacement(node.left) or replacement(node.right)
+    if isinstance(node, ast.Starred):
+        return replacement(node.value)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr == "extend" and any(map(replacement, node.args))
+    return False
+
+
+def test_splice_slots_is_the_only_slot_splicer():
+    # apply_edits rebuilds whole sentences; every slot is spliced by one walk
+    found = set()
+    for name, tree in _modules():
+        owner = {}
+        for func in ast.walk(tree):  # breadth first, so inner functions win
+            if isinstance(func, ast.FunctionDef):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        found.update(
+            (name, owner.get(id(node))) for node in ast.walk(tree) if _joins_a_replacement(node)
+        )
+    assert sorted(found) == [("chunker.py", "splice_slots"), ("corpus.py", "apply_edits")]
