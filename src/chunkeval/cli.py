@@ -5,9 +5,11 @@ stderr, data to stdout (or to the file given with -o).
 """
 
 import argparse
+import codecs
 import gc
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -285,13 +287,51 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 # --- helpers ---------------------------------------------------------------
 
 
+# bytes read from an input file at a time
+_BLOCK_BYTES = 1 << 16
+
+
+def _read_blocks(path: str) -> Iterator[str]:
+    """The UTF-8 text of ``path``, one block of ``_BLOCK_BYTES`` at a time.
+
+    Newlines are translated as ``Path.read_text`` does (``\r\n`` and a lone
+    ``\r`` become ``\n``), and one leading U+FEFF is dropped, as by
+    ``utf-8-sig``. A character or a ``\r`` at a block's end is decoded
+    with the next block. A byte that is not UTF-8 raises DataError naming the
+    reason and its offset from the start of the file, BOM included, after
+    the text before it has been yielded.
+    """
+    with open(path, "rb") as file:
+        undecoded, offset, error = b"", 0, None
+        while True:
+            block = file.read(_BLOCK_BYTES)
+            final = not block
+            data = undecoded + block
+            try:
+                text, used = codecs.utf_8_decode(data, "strict", final)
+            except UnicodeDecodeError as exc:
+                text, used, error, final = data[: exc.start].decode(), exc.start, exc, True
+            if not final and text[-1:] == "\r":  # left undecoded: it may start a \r\n
+                text, used = text[:-1], used - 1
+            if not offset and text[:1] == "\ufeff":
+                text = text[1:]
+            offset += used
+            undecoded = data[used:]
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            if text:
+                yield text
+            if error is not None:
+                raise DataError(
+                    f"{path}: not UTF-8 text ({error.reason} at byte {offset})"
+                ) from error
+            if final:
+                return
+
+
 def _read(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(
-            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from exc
+    """The whole text of ``path``, as ``_read_blocks`` reads it."""
+    return "".join(_read_blocks(path))
 
 
 def _write_out(args: argparse.Namespace, text: str) -> None:
@@ -308,7 +348,7 @@ def _warn(message: str) -> None:
 def _load_hypotheses(args, samples: list[AnnotatedSample]) -> list:
     """Per-sample hypothesis edits, from plain text or an M2 file."""
     if args.hyp_format == "m2":
-        hyp_samples = parse_m2(_read(args.hyp))
+        hyp_samples = parse_m2(_read_blocks(args.hyp))
         if len(hyp_samples) != len(samples):
             raise LengthMismatchError(
                 f"hypothesis M2 has {len(hyp_samples)} samples, "
@@ -368,7 +408,7 @@ def _kept_samples(
 
 def _load_chunked(args) -> list[ChunkedSample]:
     """Partitioned samples of the hypothesis against the references."""
-    samples = parse_m2(_read(args.ref))
+    samples = parse_m2(_read_blocks(args.ref))
     hyp_edits = _load_hypotheses(args, samples)
     return [
         partition(
@@ -460,7 +500,7 @@ def cmd_chunks(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    samples = list(_kept_samples(args, parse_m2(_read(args.ref)), 2).values())
+    samples = list(_kept_samples(args, parse_m2(_read_blocks(args.ref)), 2).values())
     stats = boundary_stats(samples, per_pass_mean=args.per_pass_mean)
     payload = {
         **corpus_stats(samples),

@@ -11,7 +11,7 @@ with no edits.
 """
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -150,15 +150,49 @@ def apply_edits(source: Sequence[str], edits: Iterable[Edit]) -> TokenSeq:
     return tuple(out)
 
 
-def parse_m2(text: str) -> list[AnnotatedSample]:
+# characters per piece when parse_m2 cuts a str argument
+_PIECE_CHARS = 1 << 16
+
+
+def _whole_lines(pieces: Iterable[str]) -> Iterator[str]:
+    """The text of ``pieces``, cut anywhere, as runs of whole lines.
+
+    Each run ends at the last ``\n`` of a piece; the last run is the rest.
+    An unfinished line is kept as a list of its pieces, so it is joined once
+    however many pieces it spans.
+    """
+    head: list[str] = []
+    for piece in pieces:
+        cut = piece.rfind("\n") + 1
+        if not cut:
+            head.append(piece)
+            continue
+        head.append(piece[:cut])
+        yield "".join(head)
+        head = [piece[cut:]]
+    rest = "".join(head)
+    if rest:
+        yield rest
+
+
+def parse_m2(text: str | Iterable[str]) -> list[AnnotatedSample]:
     """Parse an M2 file into one AnnotatedSample per ``S`` block.
+
+    ``text`` is the whole file, or its text in pieces cut anywhere (as
+    ``cli._read_blocks`` yields them); a ``str`` is cut into pieces of
+    ``_PIECE_CHARS``. One run of whole lines is split at a time, with line
+    numbers running on across runs, so no list of every line is built and
+    pieces read from a file never hold its whole text. Each run picks its
+    tokenizer once; the tokens are the same either way.
 
     Each distinct span, annotator and replacement field is parsed once per
     call; the checks that depend on the sentence or the line run on every
     line. Each edit is compared with the previous edit of its annotator as
     it is read. A block whose edits are all in order and disjoint is built
     directly, holding ``_CheckedEdits``; any other block is sorted and
-    checked by ``AnnotatedSample``, which names the overlap.
+    checked by ``AnnotatedSample``, which names the overlap. Errors come
+    in file order: an error raised while reading the pieces is raised
+    only after the lines before it were parsed.
     """
     samples: list[AnnotatedSample] = []
     source: TokenSeq | None = None
@@ -166,7 +200,9 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
     edits: dict[int, list[Edit]] = {}
     noop_ids: set[int] = set()
     in_order = True
-    split = (lambda s: tuple(s.split())) if _splits_plainly(text) else tokenize
+    pieces = text
+    if isinstance(text, str):
+        pieces = (text[i : i + _PIECE_CHARS] for i in range(0, len(text), _PIECE_CHARS))
     # raw field -> parsed value, kept only for fields that parsed cleanly;
     # local to the call, so nothing parsed outlives the text it came from
     spans: dict[str, tuple[int, int]] = {}
@@ -202,78 +238,82 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
                 raise ParseError(str(exc), block_line) from exc
         source, edits, noop_ids, in_order = None, {}, set(), True
 
-    for lineno, line in enumerate(split_lines(text), 1):
-        if line.startswith("A ") and source is not None:
-            # fields[0] keeps the "A " prefix
-            fields = line.split("|||")
-            if len(fields) != 6:
-                raise ParseError(f"expected 6 '|||' fields, got {len(fields)}", lineno)
-            span = spans.get(fields[0])
-            if span is None:
-                parts = fields[0][2:].split()
-                if len(parts) != 2:
-                    raise ParseError(f"bad span field {fields[0][2:]!r}", lineno)
-                try:
-                    span = spans[fields[0]] = int(parts[0]), int(parts[1])
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno) from exc
-            start, end = span
-            annotator = annotators.get(fields[5])
-            if annotator is None:
-                try:
-                    annotator = int(fields[5])
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno) from exc
-                if annotator < 0:
-                    raise ParseError(f"negative annotator id {annotator}", lineno)
-                annotators[fields[5]] = annotator
-            type_label = fields[1]
-            if type_label == NOOP_TYPE:
-                if (start, end) != (-1, -1):
-                    raise ParseError("noop record must use span -1 -1", lineno)
-                noop_ids.add(annotator)
-                continue
-            if start == -1 or end == -1:
-                raise ParseError("span -1 -1 is reserved for noop records", lineno)
-            if not 0 <= start <= end <= len(source):
-                raise ParseError(
-                    f"edit [{start}, {end}) outside source of length {len(source)}", lineno
-                )
-            # a literally empty replacement field is tolerated as a deletion
-            replacement = replacements.get(fields[2])
-            if replacement is None:
-                replacement = replacements[fields[2]] = split(fields[2])
-            if start == end and not replacement:
-                raise ParseError("insertion with empty replacement", lineno)
-            # every field is checked above, so Edit.__post_init__ is not run
-            edit = object.__new__(Edit)
-            _set_start(edit, start)
-            _set_end(edit, end)
-            _set_replacement(edit, replacement)
-            _set_type_label(edit, type_label)
-            previous = edits.get(annotator)
-            if previous is None:
-                edits[annotator] = [edit]
-                continue
-            # the pair test of check_edits: out of order, overlapping, or
-            # two insertions at one point
-            last = previous[-1]
-            if last.end > start or last.start == end:
-                in_order = False
-            previous.append(edit)
-        elif not line or line.isspace():
-            flush()
-        elif line.startswith("S ") or line == "S":
-            if source is not None:
-                raise ParseError("second 'S' line inside one record", lineno)
-            source = split(line[2:])
-            block_line = lineno
-            if not source:
-                raise ParseError("empty source sentence", lineno)
-        elif not line.startswith("A "):
-            raise ParseError(f"unrecognized line: {line[:40]!r}", lineno)
-        else:
-            raise ParseError("'A' line before any 'S' line", lineno)
+    lineno = 0
+    for run in _whole_lines(pieces):
+        split = (lambda s: tuple(s.split())) if _splits_plainly(run) else tokenize
+        # every run holds at least one line, so lineno ends on its last
+        for lineno, line in enumerate(split_lines(run), lineno + 1):
+            if line.startswith("A ") and source is not None:
+                # fields[0] keeps the "A " prefix
+                fields = line.split("|||")
+                if len(fields) != 6:
+                    raise ParseError(f"expected 6 '|||' fields, got {len(fields)}", lineno)
+                span = spans.get(fields[0])
+                if span is None:
+                    parts = fields[0][2:].split()
+                    if len(parts) != 2:
+                        raise ParseError(f"bad span field {fields[0][2:]!r}", lineno)
+                    try:
+                        span = spans[fields[0]] = int(parts[0]), int(parts[1])
+                    except ValueError as exc:
+                        raise ParseError(str(exc), lineno) from exc
+                start, end = span
+                annotator = annotators.get(fields[5])
+                if annotator is None:
+                    try:
+                        annotator = int(fields[5])
+                    except ValueError as exc:
+                        raise ParseError(str(exc), lineno) from exc
+                    if annotator < 0:
+                        raise ParseError(f"negative annotator id {annotator}", lineno)
+                    annotators[fields[5]] = annotator
+                type_label = fields[1]
+                if type_label == NOOP_TYPE:
+                    if (start, end) != (-1, -1):
+                        raise ParseError("noop record must use span -1 -1", lineno)
+                    noop_ids.add(annotator)
+                    continue
+                if start == -1 or end == -1:
+                    raise ParseError("span -1 -1 is reserved for noop records", lineno)
+                if not 0 <= start <= end <= len(source):
+                    raise ParseError(
+                        f"edit [{start}, {end}) outside source of length {len(source)}", lineno
+                    )
+                # a literally empty replacement field is tolerated as a deletion
+                replacement = replacements.get(fields[2])
+                if replacement is None:
+                    replacement = replacements[fields[2]] = split(fields[2])
+                if start == end and not replacement:
+                    raise ParseError("insertion with empty replacement", lineno)
+                # every field is checked above, so Edit.__post_init__ is not run
+                edit = object.__new__(Edit)
+                _set_start(edit, start)
+                _set_end(edit, end)
+                _set_replacement(edit, replacement)
+                _set_type_label(edit, type_label)
+                previous = edits.get(annotator)
+                if previous is None:
+                    edits[annotator] = [edit]
+                    continue
+                # the pair test of check_edits: out of order, overlapping, or
+                # two insertions at one point
+                last = previous[-1]
+                if last.end > start or last.start == end:
+                    in_order = False
+                previous.append(edit)
+            elif not line or line.isspace():
+                flush()
+            elif line.startswith("S ") or line == "S":
+                if source is not None:
+                    raise ParseError("second 'S' line inside one record", lineno)
+                source = split(line[2:])
+                block_line = lineno
+                if not source:
+                    raise ParseError("empty source sentence", lineno)
+            elif not line.startswith("A "):
+                raise ParseError(f"unrecognized line: {line[:40]!r}", lineno)
+            else:
+                raise ParseError("'A' line before any 'S' line", lineno)
     flush()
     return samples
 

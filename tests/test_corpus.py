@@ -24,6 +24,7 @@ from chunkeval import (
     parse_m2,
     tokenize,
 )
+from chunkeval import cli, corpus
 from chunkeval.corpus import check_edits, split_lines
 
 WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
@@ -455,27 +456,52 @@ def fuzz_m2_text(rng):
     return text
 
 
-def test_parse_m2_matches_oracle_on_fuzzed_text():
-    rng = random.Random(113)
+def random_pieces(rng, text):
+    """``text`` cut at a few random points, empty pieces included."""
+    cuts = sorted(rng.randint(0, len(text)) for _ in range(rng.randint(0, 8)))
+    return [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+
+
+def parse_outcome(parse, text):
+    """The samples ``parse(text)`` gives, or its ParseError's message and line."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return (str(exc), exc.line)
+
+
+def test_parse_m2_matches_oracle_on_fuzzed_text(tmp_path, monkeypatch):
+    # each text is parsed whole, as random str pieces, and from its file in
+    # blocks of a few bytes; the cuts draw on their own rng, so the texts
+    # are the ones drawn before block-wise ingest
+    rng, cut_rng = random.Random(113), random.Random(114)
+    path = tmp_path / "fuzz.m2"
     seen: dict[str, int] = {}
     for _ in range(3000):
         text = fuzz_m2_text(rng)
-        outcomes = []
-        for parse in (m2_oracle.parse_m2, parse_m2):
-            try:
-                outcomes.append(parse(text))
-            except ParseError as exc:
-                outcomes.append((str(exc), exc.line))
-        expected, got = outcomes
-        assert got == expected, repr(text)
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", cut_rng.randint(1, 8))
+        outcomes = [
+            parse_outcome(parse, text)
+            for parse in (
+                m2_oracle.parse_m2,
+                parse_m2,
+                lambda t: parse_m2(random_pieces(cut_rng, t)),
+                lambda t: parse_m2(cli._read_blocks(path)),
+            )
+        ]
+        expected = outcomes[0]
+        for got in outcomes[1:]:
+            assert got == expected, repr(text)
         if isinstance(expected, list):
-            assert repr(got) == repr(expected)
+            for got in outcomes[1:]:
+                assert repr(got) == repr(expected)
             # _CheckedEdits exactly where the oracle's constructor kept them
             kinds = [
                 [type(es) for s in samples for es in s.annotations.values()]
                 for samples in outcomes
             ]
-            assert kinds[0] == kinds[1]
+            assert kinds[1:] == kinds[:1] * 3
             key = "parsed"
         else:
             key = re.sub(r"[-\d]+|'.*'", "#", expected[0])
@@ -484,6 +510,59 @@ def test_parse_m2_matches_oracle_on_fuzzed_text():
         seen["not str.split"] = seen.get("not str.split", 0) + ("\x1c" in text)
     # parsed, CRLF, not str.split, and each of the 15 ParseError messages
     assert len(seen) == 18 and min(seen.values()) >= 15, seen
+
+
+EDIT_LINE = "A 0 1|||R|||x|||REQUIRED|||-NONE-|||0\n"
+
+
+class TestParseM2InBlocks:
+    """Pieces cut anywhere, and files read a few bytes at a time, parse as the whole text."""
+
+    CASES = {
+        "CRLF": "S a b\r\nA 0 1|||R|||x y|||REQUIRED|||-NONE-|||0\r\n\r\nS c\r\n",
+        "multi-byte": "S é 今 😀 b\nA 1 3|||R|||ü 😀|||REQUIRED|||-NONE-|||0\n\nS a\x1cb c\n",
+        "long line": "S " + " ".join(f"t{i}" for i in range(60)) + "\n"
+        + "A 2 3|||R|||" + " ".join(["é"] * 30) + "|||REQUIRED|||-NONE-|||1\n",
+        "no final newline": "S a b\n" + EDIT_LINE + "\nS c\nA 0 1|||R|||y|||REQUIRED|||-NONE-|||0",
+        "empty": "",
+        "blank separator": "S a\n" + EDIT_LINE + " \t\x0b\nS b\n" + EDIT_LINE + "  \n",
+        "late error": ("S a\n" + EDIT_LINE + "\n") * 8 + "S a\nA 0 2|||R|||x|||REQUIRED|||-NONE-|||0\n",
+    }
+
+    @pytest.fixture(params=CASES, ids=list(CASES))
+    def case(self, request):
+        text = self.CASES[request.param]
+        return text, parse_outcome(m2_oracle.parse_m2, text)
+
+    def test_every_two_piece_cut(self, case):
+        text, expected = case
+        for i in range(len(text) + 1):
+            got = parse_outcome(parse_m2, [text[:i], text[i:]])
+            assert got == expected and repr(got) == repr(expected), i
+
+    def test_a_str_cut_into_small_pieces(self, case, monkeypatch):
+        text, expected = case
+        for size in (1, 2, 3, 7):
+            monkeypatch.setattr(corpus, "_PIECE_CHARS", size)
+            assert parse_outcome(parse_m2, text) == expected
+
+    def test_files_read_in_small_blocks(self, case, tmp_path, monkeypatch):
+        text, expected = case
+        path = tmp_path / "refs.m2"
+        path.write_bytes(text.encode("utf-8"))
+        for size in (*range(1, 10), 1 << 16):
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", size)
+            got = parse_outcome(parse_m2, cli._read_blocks(path))
+            assert got == expected and repr(got) == repr(expected), size
+
+    def test_the_cases_hold_what_they_name(self):
+        cases = self.CASES
+        assert "\r\n" in cases["CRLF"]
+        assert len(cases["multi-byte"].encode("utf-8")) > len(cases["multi-byte"])
+        assert len(cases["long line"].split("\n")[0]) > 20 * 9  # many 9-byte blocks
+        assert not cases["no final newline"].endswith("\n")
+        expected = parse_outcome(m2_oracle.parse_m2, cases["late error"])
+        assert expected == ("line 26: edit [0, 2) outside source of length 1", 26)
 
 
 class TestParseM2Memos:

@@ -3,8 +3,8 @@
 The package's ``__version__`` is the version ``pyproject.toml`` declares,
 ``__all__`` lists exactly what the package imports, each ``WeightConfig``
 field has one ``evaluate`` flag, ``corpus.split_lines`` is the one line
-splitter, and ``chunker.splice_slots`` the one code that splices edits into
-slots.
+splitter, ``chunker.splice_slots`` the one code that splices edits into
+slots, and the CLI parses every M2 file block by block.
 """
 
 import ast
@@ -177,3 +177,20 @@ def test_splice_slots_is_the_only_slot_splicer():
             (name, owner.get(id(node))) for node in ast.walk(tree) if _joins_a_replacement(node)
         )
     assert sorted(found) == [("chunker.py", "splice_slots"), ("corpus.py", "apply_edits")]
+
+
+def test_cli_parses_every_m2_file_block_by_block():
+    # a _read(...) result holds the whole file, and parse_m2 would split it whole
+    tree = dict(_modules())["cli.py"]
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "parse_m2"
+    ]
+    assert len(calls) == 3  # the hypothesis M2, the references, and stats' references
+    assert sorted(ast.unparse(call) for call in calls) == [
+        "parse_m2(_read_blocks(args.hyp))",
+        "parse_m2(_read_blocks(args.ref))",
+        "parse_m2(_read_blocks(args.ref))",
+    ]
