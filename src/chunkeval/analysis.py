@@ -126,13 +126,14 @@ def corpus_stats(samples: Sequence[AnnotatedSample]) -> dict:
     which counts as neither. ``splice_slots`` splices each reference: at a
     slot ``(a, b)`` where it yields a segment, the chunk counts as changed
     instead, with the larger of the two lengths, and the reference's length
-    gains ``len(segment) - (b - a)``. Counts and token sums are ints.
+    gains ``len(segment) - (b - a)``. Counts and token sums are ints; no sum
+    depends on order, so references are read in dict order.
     """
     n_refs = ref_sum = n_edits = edit_sum = 0
     n_unchanged = unchanged_sum = n_changed = changed_sum = 0
     for sample in samples:
         source, n = sample.source, len(sample.source)
-        refs = [sample.annotations[aid] for aid in sample.annotator_ids]
+        refs = sample.annotations.values()
         spans, changed = slot_spans(n, refs)
         slots = [spans[k] for k in changed]
         kept = [source[a:b] for a, b in slots]

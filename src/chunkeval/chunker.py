@@ -5,13 +5,16 @@ closed source intervals touch or overlap are merged into one changed slot.
 Every sequence is then segmented into the same number of chunks: the slots
 plus the unchanged stretches between them. ``splice_slots`` is the one walk
 that splices a sequence, here and in ``analysis.corpus_stats``: it visits
-only the slots that sequence's own edits fall in. What the scorers read is
-stored as columns of small ints; every other chunk is the source span itself.
+only the slots that sequence's own edits fall in, and builds every segment
+with one loop. What the scorers read is stored as columns of small ints;
+every other chunk is the source span itself.
 """
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 from .corpus import Edit, TokenSeq, check_edits
@@ -82,30 +85,34 @@ class ChunkedSample:
         return tuple(dense)
 
 
+_start = attrgetter("start")
+
+
 def slot_spans(
     source_len: int, edit_sets: Iterable[Iterable[Edit]]
 ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """Merge pooled edit intervals into changed slots and lay out every chunk.
 
     Closed intervals [start, end] that overlap or touch merge into one slot;
-    the unchanged stretches between slots fill the rest of the source.
+    the unchanged stretches between slots fill the rest of the source. Edits
+    are sorted by start alone, as those sharing a start merge in any order.
     Returns all chunk spans in source order and the indices of the slots.
     """
-    intervals = sorted([(e.start, e.end) for edits in edit_sets for e in edits])
     spans: list[tuple[int, int]] = []
     changed: list[int] = []
     pos = 0  # end of the last slot
-    for s, e in intervals:
+    for edit in sorted(chain.from_iterable(edit_sets), key=_start):
+        s = edit.start
         if changed and s <= pos:
-            if e > pos:
-                pos = e
-                spans[-1] = (spans[-1][0], e)
+            if edit.end > pos:
+                pos = edit.end
+                spans[-1] = (spans[-1][0], pos)
             continue
         if s > pos:
             spans.append((pos, s))
         changed.append(len(spans))
-        spans.append((s, e))
-        pos = e
+        pos = edit.end
+        spans.append((s, pos))
     if pos < source_len or not spans:
         spans.append((pos, source_len))
     return tuple(spans), tuple(changed)
@@ -117,45 +124,32 @@ def splice_slots(
     """Yield ``(k, segment)`` at each slot where one sequence differs from the source.
 
     Sorted, checked edits move a pointer over ``slots``, so a slot that no
-    edit falls in is never visited. The edits of slot ``k`` are spliced into
-    its span ``(a, b)``; a lone edit that covers the whole slot gives its own
-    replacement tuple. ``kept`` holds each slot's source span, sliced once by
-    the caller; a segment equal to it is not yielded. An edit outside every
-    slot raises ``AssertionError``, also under ``python -O``.
+    edit falls in is never visited. One loop splices the edits of slot ``k``
+    into its span ``(a, b)``, whether the slot holds one edit or several.
+    ``kept`` holds each slot's source span, sliced once by the caller; a
+    segment equal to it is not yielded. An edit outside every slot raises
+    ``AssertionError``, also under ``python -O``.
     """
-    n_edits = len(edits)
     # the last edit starts last: past the last slot, the pointer would run off
     if edits and (not slots or edits[-1].start > slots[-1][1]):
         raise AssertionError("edit escaped its merged slot")
-    i = k = 0
-    while i < n_edits:
-        e = edits[i]
-        start = e.start
-        while slots[k][1] < start:
+    edit_iter = iter(edits)
+    e = next(edit_iter, None)
+    k = 0
+    while e is not None:
+        while slots[k][1] < e.start:
             k += 1
-        a, b = slots[k]
-        if i + 1 == n_edits or edits[i + 1].start > b:
-            i += 1
-            end = e.end
-            if start == a and end == b:
-                segment = e.replacement
-            elif a <= start and end <= b:
-                segment = source[a:start] + e.replacement + source[end:b]
-            else:
+        pos, b = slots[k]
+        # CPython's tuple + returns the non-empty operand itself when the other
+        # is empty, so a lone edit covering its slot yields its own replacement
+        segment = ()
+        while e is not None and e.start <= b:
+            if e.start < pos or e.end > b:
                 raise AssertionError("edit escaped its merged slot")
-        else:
-            out: list[str] = []
-            pos = a
-            while i < n_edits and edits[i].start <= b:
-                e = edits[i]
-                if e.start < pos or e.end > b:
-                    raise AssertionError("edit escaped its merged slot")
-                out += source[pos : e.start]
-                out += e.replacement
-                pos = e.end
-                i += 1
-            out += source[pos:b]
-            segment = tuple(out)
+            segment += source[pos : e.start] + e.replacement
+            pos = e.end
+            e = next(edit_iter, None)
+        segment += source[pos:b]
         if segment != kept[k]:
             yield k, segment
 

@@ -260,9 +260,9 @@ class TestCorpusStats:
         # reference's edits keep the span's length
         assert no_edits > 100 and insertion_slots > 100
         assert noop_edits > 100 and equal_length_slots > 100
-        # the branches of splice_slots: a lone edit covering its slot or inside
-        # a wider one, several edits of one reference in a slot, and a spliced
-        # segment that equals its span
+        # the slot layouts the one splice loop of splice_slots must handle: a
+        # lone edit covering its slot or inside a wider one, several edits of
+        # one reference in a slot, and a spliced segment that equals its span
         assert lone_covering > 100 and lone_inside > 100
         assert shared_slots > 100 and kept_segments > 100
 

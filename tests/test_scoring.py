@@ -9,7 +9,7 @@ import pytest
 import edit_level_oracle
 import partition_oracle
 import scoring_oracle
-from conftest import random_case
+from conftest import random_case, random_ref_sets, random_tokens
 
 from chunkeval import (
     VARIANTS,
@@ -792,3 +792,63 @@ class TestEditLevelOracle:
         assert min(seen.values()) >= 20, seen
         # some spans were edited by the hypothesis and a reference differently
         assert seen["fn both"] > seen["fn fp-only"], seen
+
+
+class TestReferenceAsHypothesis:
+    """A hypothesis equal to a reference's corrected sentence is all TP and TN.
+
+    This is the gate of ROADMAP item 4 (canonical edit positions). The
+    vocabulary has three tokens, so most sources repeat one, and an
+    insertion or deletion beside a run of equal tokens can stand at several
+    points of it. On the M2 path the hypothesis holds that reference's own
+    edits, written by ``emit_m2`` and read back by ``parse_m2``. On the text
+    path ``extract_edits`` aligns the corrected sentence, and may place an
+    edit elsewhere in the run than the reference did: source ``a b``, the
+    reference ``A 1 1|||M|||a`` and the hypothesis ``a a b`` give F 0.0.
+    """
+
+    VOCAB = ["a", "b", "c"]
+    N_SAMPLES = 500
+
+    @classmethod
+    def cases(cls, path):
+        rng = random.Random(25)
+        for _ in range(cls.N_SAMPLES):
+            source = random_tokens(rng, 2, 8, cls.VOCAB)
+            refs = random_ref_sets(rng, len(source), 1, 3, cls.VOCAB)
+            for aid, edits in refs:
+                if path == "text":
+                    hyp_edits = extract_edits(source, apply_edits(source, edits))
+                else:
+                    m2 = emit_m2([AnnotatedSample(source, {0: tuple(edits)})])
+                    hyp_edits = parse_m2(m2)[0].annotations[0]
+                yield source, aid, edits, partition(source, hyp_edits, refs)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "m2",
+            pytest.param(
+                "text",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 4: extract_edits may place an edit at "
+                    "another point of a run of equal tokens than the reference",
+                ),
+            ),
+        ],
+    )
+    def test_scores_all_tp_and_tn_under_dep(self, path):
+        seen, failed = Counter(), []
+        for source, aid, edits, cs in self.cases(path):
+            seen["references"] += 1
+            seen["edited"] += bool(edits)
+            seen["repeating source"] += len(set(source)) < len(source)
+            for mode in FN_MODES:
+                counts, _ = score_sentence_dependent(cs, CFG, mode)
+                if counts.fp_n or counts.fn_n:
+                    failed.append((source, aid, edits, mode, counts))
+        assert seen["references"] >= self.N_SAMPLES * 3 // 2, seen
+        assert min(seen["edited"], seen["repeating source"]) >= self.N_SAMPLES, seen
+        n_cases = seen["references"] * len(FN_MODES)
+        assert not failed, f"{len(failed)} of {n_cases} cases fail, first: {failed[0]}"

@@ -4,17 +4,22 @@ The package's ``__version__`` is the version ``pyproject.toml`` declares,
 ``__all__`` lists exactly what the package imports, each ``WeightConfig``
 field has one ``evaluate`` flag, ``corpus.split_lines`` is the one line
 splitter, ``chunker.splice_slots`` the one code that splices edits into
-slots, and the CLI parses every M2 file block by block.
+slots, and the CLI parses every M2 file block by block. The README's
+Library example runs, and scores as ``evaluate`` does.
 """
 
 import ast
+import codecs
 import dataclasses
+import random
 import re
 import sys
 from pathlib import Path
 
+from conftest import random_case
+
 import chunkeval
-from chunkeval import WeightConfig, cli
+from chunkeval import AnnotatedSample, WeightConfig, apply_edits, cli, emit_m2
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -194,3 +199,36 @@ def test_cli_parses_every_m2_file_block_by_block():
         "parse_m2(_read_blocks(args.ref))",
         "parse_m2(_read_blocks(args.ref))",
     ]
+
+
+def _library_example() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    return re.search(r"^```python\n(.*?)^```", library, re.M | re.S).group(1)
+
+
+def test_readme_library_example_scores_as_evaluate(tmp_path, monkeypatch, capsys):
+    # saved with a BOM and CRLF line ends, which the CLI reads like plain LF
+    rng = random.Random(25)
+    samples, hyps = [], []
+    for _ in range(60):
+        source, hyp_edits, refs = random_case(rng, min_refs=2, max_refs=3)
+        samples.append(AnnotatedSample(source, {aid: tuple(e) for aid, e in refs}))
+        if rng.random() < 0.4:  # make TPs common
+            hyp_edits = rng.choice(refs)[1]
+        hyps.append(" ".join(apply_edits(source, hyp_edits)))
+    for name, text in [
+        ("references.m2", emit_m2(samples)),
+        ("system_output.txt", "".join(h + "\n" for h in hyps)),
+    ]:
+        data = codecs.BOM_UTF8 + text.replace("\n", "\r\n").encode("utf-8")
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(_library_example(), "README.md", "exec"), {})
+    f_beta, tp_n = capsys.readouterr().out.split()
+    assert cli.main(["evaluate", "system_output.txt", "references.m2", "--variant", "dep"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    (row,) = [dict(zip(lines[0].split("\t"), l.split("\t"))) for l in lines[1:]]
+    assert row["variant"] == "dep"
+    assert (round(float(f_beta), 4), int(tp_n)) == (float(row["F_beta"]), int(row["tp_n"]))
+    assert 0 < float(f_beta) < 1 and int(tp_n) > 10
