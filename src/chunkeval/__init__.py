@@ -34,6 +34,7 @@ from .corpus import (
     emit_m2,
     load_parallel,
     parse_m2,
+    split_lines,
     tokenize,
 )
 from .errors import (
@@ -54,18 +55,14 @@ from .scoring import (
     Scores,
     VariantResult,
     WeightConfig,
-    accuracy,
-    aggregate_sentence,
     compute_ell,
     default_config,
     f_beta_formula,
     length_weight,
-    precision_recall,
     raw_weight,
     run_variant,
     score_sentence_dependent,
     score_sentence_independent,
-    sum_counts,
     unweighted,
 )
 
@@ -92,8 +89,6 @@ __all__ = [
     "VARIANTS",
     "VariantResult",
     "WeightConfig",
-    "accuracy",
-    "aggregate_sentence",
     "apply_edits",
     "boundary_stats",
     "chunk_table",
@@ -112,13 +107,12 @@ __all__ = [
     "parse_m2",
     "partition",
     "pearson",
-    "precision_recall",
     "raw_weight",
     "run_variant",
     "score_sentence_dependent",
     "score_sentence_independent",
     "spearman",
-    "sum_counts",
+    "split_lines",
     "tokenize",
     "unweighted",
 ]

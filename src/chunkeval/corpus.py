@@ -324,9 +324,10 @@ def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
     Whatever would read back differently raises DataError naming the first
     culprit: an empty source; a token that is empty or holds ASCII whitespace,
     or (in a replacement) ``|||``; a replacement ending in ``|`` or a lone
-    ``-NONE-``; a label ``noop``, ending in ``|`` or holding ``|||`` or LF;
-    or a negative annotator key. ``parse_m2`` splits an ``A`` line at
-    ``|||`` from the left, so a field ending in ``|`` moves the separator.
+    ``-NONE-``; a label ``noop``, ending in ``|`` or holding ``|||``, LF or
+    CR (a file reader, as ``cli._read_blocks``, reads a lone CR as LF); or a
+    negative annotator key. ``parse_m2`` splits an ``A`` line at ``|||``
+    from the left, so a field ending in ``|`` moves the separator.
     """
     blocks: list[str] = []
     for number, sample in enumerate(samples, 1):
@@ -348,7 +349,7 @@ def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
                     filter(_UNHOLDABLE, e.replacement),
                     e.replacement[-1] if repl.endswith("|") or repl == _NONE_FIELD
                     else label if "|||" in label or label.endswith("|") or "\n" in label
-                    or label == NOOP_TYPE
+                    or "\r" in label or label == NOOP_TYPE
                     else None,
                 )
                 if bad is not None:

@@ -172,27 +172,8 @@ class OutcomeCounts:
     tn_n: int = 0
 
 
-def sum_counts(per_sentence: Sequence[OutcomeCounts]) -> OutcomeCounts:
-    """Order-independent exact reduction of per-sentence counts."""
-    return OutcomeCounts(
-        tp_w=math.fsum(c.tp_w for c in per_sentence),
-        fp_w=math.fsum(c.fp_w for c in per_sentence),
-        fn_w=math.fsum(c.fn_w for c in per_sentence),
-        tn_w=math.fsum(c.tn_w for c in per_sentence),
-        tp_n=sum(c.tp_n for c in per_sentence),
-        fp_n=sum(c.fp_n for c in per_sentence),
-        fn_n=sum(c.fn_n for c in per_sentence),
-        tn_n=sum(c.tn_n for c in per_sentence),
-    )
-
-
 def _share(tp_w: float, other_w: float) -> float:
     return tp_w / (tp_w + other_w) if tp_w + other_w > 0 else 1.0
-
-
-def precision_recall(counts: OutcomeCounts) -> tuple[float, float]:
-    """Weighted precision and recall; empty denominators count as 1.0."""
-    return _share(counts.tp_w, counts.fp_w), _share(counts.tp_w, counts.fn_w)
 
 
 def f_beta_formula(p: float, r: float, beta: float = 0.5) -> float:
@@ -203,22 +184,15 @@ def f_beta_formula(p: float, r: float, beta: float = 0.5) -> float:
     return num / (beta * beta * p + r)
 
 
-def accuracy(counts: OutcomeCounts) -> float:
-    """(TP + TN) / all outcomes; 1.0 on an empty denominator."""
-    return _accuracy(counts.tp_w, counts.fp_w, counts.fn_w, counts.tn_w)
-
-
-def _accuracy(tp_w: float, fp_w: float, fn_w: float, tn_w: float) -> float:
-    den = tp_w + fp_w + fn_w + tn_w
-    if den == 0.0:
-        return 1.0
-    return (tp_w + tn_w) / den
-
-
 def _ratios(tp_w: float, fp_w: float, fn_w: float, tn_w: float, beta: float) -> tuple:
-    """P, R, F_beta and Acc of weighted totals: the fields of ``Scores``."""
+    """P, R, F_beta and Acc of weighted totals: the fields of ``Scores``.
+
+    Acc is (TP + TN) / all outcomes; an empty denominator gives 1.0.
+    """
     p, r = _share(tp_w, fp_w), _share(tp_w, fn_w)
-    return p, r, f_beta_formula(p, r, beta), _accuracy(tp_w, fp_w, fn_w, tn_w)
+    den = tp_w + fp_w + fn_w + tn_w
+    acc = (tp_w + tn_w) / den if den else 1.0
+    return p, r, f_beta_formula(p, r, beta), acc
 
 
 @dataclass(frozen=True)
@@ -335,17 +309,6 @@ def score_sentence_independent(
     return OutcomeCounts(*_SlotScorer(cfg, fn_on_mismatch).independent(cs))
 
 
-def aggregate_sentence(per_sentence: Sequence[Scores]) -> Scores:
-    """Arithmetic mean of per-sentence scores (F is averaged, not recomputed)."""
-    n = len(per_sentence)
-    return Scores(
-        precision=math.fsum(s.precision for s in per_sentence) / n,
-        recall=math.fsum(s.recall for s in per_sentence) / n,
-        f_beta=math.fsum(s.f_beta for s in per_sentence) / n,
-        accuracy=math.fsum(s.accuracy for s in per_sentence) / n,
-    )
-
-
 # The columns of a score report, in order: the keys of VariantResult.as_row.
 REPORT_COLUMNS = tuple(
     "system tp_w fp_w fn_w tn_w tp_n fp_n fn_n tn_n P R F_beta Acc variant".split()
@@ -394,13 +357,13 @@ def run_variant(
         chosen = tuple(aid for _, aid in picks)
     else:
         per_sentence = [scorer.independent(cs) for cs in chunked]
-    # the eight OutcomeCounts fields over all sentences, reduced as sum_counts does
+    # the eight OutcomeCounts fields over all sentences: math.fsum for weights, sum for counts
     columns = list(zip(*per_sentence)) or [()] * 8
     totals = OutcomeCounts(*map(math.fsum, columns[:4]), *map(sum, columns[4:]))
     if level == "corpus":
         scores = Scores.from_counts(totals, cfg.beta)
     else:
-        # per-sentence Scores fields, averaged as aggregate_sentence does
+        # each sentence's P, R, F and Acc, averaged by fsum: F averaged, not recomputed
         ratios = list(zip(*(_ratios(*t[:4], cfg.beta) for t in per_sentence))) or [()] * 4
         scores = Scores(*(math.fsum(r) / len(per_sentence) for r in ratios))
     if scored is not None:

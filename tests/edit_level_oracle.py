@@ -17,7 +17,9 @@ is the longer of its span and its replacement.
 
 from collections.abc import Callable, Sequence
 
-from chunkeval import Edit, OutcomeCounts, f_beta_formula, precision_recall
+from scoring_oracle import precision_recall
+
+from chunkeval import Edit, OutcomeCounts, f_beta_formula
 from chunkeval.scoring import FN_BOTH
 
 Weight = Callable[[str, int], float]  # (outcome, length) -> weight

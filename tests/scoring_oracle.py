@@ -5,6 +5,11 @@ compact slot records. It reads the chunks themselves and adds each outcome
 as it is found, so tests compare the record-based scorer with it exactly.
 ``run_variant`` is the dataset reduction ``chunkeval.run_variant`` used
 before it reduced per-sentence totals column by column.
+
+The ratio and reduction rules are stated here, not imported from the
+library: ``precision_recall`` and ``accuracy`` give P, R and Acc of one
+``OutcomeCounts``, ``sum_counts`` adds sentences' counts, and
+``aggregate_sentence`` averages sentences' ``Scores``.
 """
 
 import math
@@ -19,14 +24,52 @@ from chunkeval import (
     Scores,
     VariantResult,
     WeightConfig,
-    accuracy,
-    aggregate_sentence,
     f_beta_formula,
     length_weight,
-    precision_recall,
-    sum_counts,
 )
 from chunkeval.scoring import FN_BOTH, FN_FP_ONLY, parse_variant
+
+
+def _share(tp_w: float, other_w: float) -> float:
+    return tp_w / (tp_w + other_w) if tp_w + other_w > 0 else 1.0
+
+
+def precision_recall(counts: OutcomeCounts) -> tuple[float, float]:
+    """Weighted precision and recall; empty denominators count as 1.0."""
+    return _share(counts.tp_w, counts.fp_w), _share(counts.tp_w, counts.fn_w)
+
+
+def accuracy(counts: OutcomeCounts) -> float:
+    """(TP + TN) / all outcomes; 1.0 on an empty denominator."""
+    den = counts.tp_w + counts.fp_w + counts.fn_w + counts.tn_w
+    if den == 0.0:
+        return 1.0
+    return (counts.tp_w + counts.tn_w) / den
+
+
+def sum_counts(per_sentence: Sequence[OutcomeCounts]) -> OutcomeCounts:
+    """Order-independent exact reduction of per-sentence counts."""
+    return OutcomeCounts(
+        tp_w=math.fsum(c.tp_w for c in per_sentence),
+        fp_w=math.fsum(c.fp_w for c in per_sentence),
+        fn_w=math.fsum(c.fn_w for c in per_sentence),
+        tn_w=math.fsum(c.tn_w for c in per_sentence),
+        tp_n=sum(c.tp_n for c in per_sentence),
+        fp_n=sum(c.fp_n for c in per_sentence),
+        fn_n=sum(c.fn_n for c in per_sentence),
+        tn_n=sum(c.tn_n for c in per_sentence),
+    )
+
+
+def aggregate_sentence(per_sentence: Sequence[Scores]) -> Scores:
+    """Arithmetic mean of per-sentence scores (F is averaged, not recomputed)."""
+    n = len(per_sentence)
+    return Scores(
+        precision=math.fsum(s.precision for s in per_sentence) / n,
+        recall=math.fsum(s.recall for s in per_sentence) / n,
+        f_beta=math.fsum(s.f_beta for s in per_sentence) / n,
+        accuracy=math.fsum(s.accuracy for s in per_sentence) / n,
+    )
 
 
 def add(counts: OutcomeCounts, outcome: str, weight: float) -> None:

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 from conftest import random_case, random_ref_sets, random_tokens
 from partition_oracle import chunk_views
-from scoring_oracle import add
+from scoring_oracle import add, sum_counts
 
 from chunkeval import (
     AnnotatedSample,
@@ -36,7 +36,6 @@ from chunkeval import (
     run_variant,
     score_sentence_dependent,
     score_sentence_independent,
-    sum_counts,
     tokenize,
 )
 from test_chunker import (

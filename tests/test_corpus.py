@@ -700,7 +700,9 @@ class TestEmitM2:
             (("a", "b"), ("x",), "R:VERB FORM", None),
             (("a", "b"), ("x",), "", None),
             (("a", "b"), ("x",), "NOOP", None),
-            (("a", "b"), ("x",), "R\r", None),
+            # refused: a file reader reads a lone CR as LF; the row keeps its
+            # place, which keeps the index-based IDs of the rows after it
+            (("a", "b"), ("x",), "R\r", "'R\\r'"),
             (("a", "b"), ("x\x85y", "-NONE-"), "R", None),
             (("a", "b"), ("x\x1fy",), "R", None),
             (("a", "b"), (), "M:DEL", None),
@@ -795,6 +797,32 @@ class TestEmitM2:
                 assert parse_m2(written) == [sample]
             outcomes[reads_back] += 1
         assert min(outcomes.values()) > 500
+
+    def test_written_text_reads_the_same_from_its_file(self, tmp_path):
+        # one newline rule: what emit_m2 writes reads back alike from the
+        # string and from its file, whose reader reads a lone CR as LF
+        rng = random.Random(26)
+        path = tmp_path / "written.m2"
+        outcomes = {"written": 0, "refused": 0, "cr_refused": 0}
+        for _ in range(2500):
+            source = random_tokens(rng, 1, 4)
+            annotations = {}
+            for aid in rng.sample(range(3), rng.randint(1, 2)):
+                start = rng.randint(0, len(source) - 1)
+                label = "".join(rng.choice("\r\n|RM") for _ in range(rng.randint(1, 4)))
+                annotations[aid] = (Edit(start, start + 1, ("x",), label),)
+            sample = AnnotatedSample(source, annotations)
+            try:
+                text = emit_m2([sample])
+            except DataError:
+                outcomes["refused"] += 1
+                edits = [e for es in annotations.values() for e in es]
+                outcomes["cr_refused"] += any("\r" in e.type_label for e in edits)
+                continue
+            path.write_bytes(text.encode("utf-8"))
+            assert parse_m2(cli._read_blocks(str(path))) == parse_m2(text) == [sample]
+            outcomes["written"] += 1
+        assert min(outcomes.values()) > 200, outcomes
 
 
 class TestLoadParallel:

@@ -1,0 +1,250 @@
+"""Metamorphic relations of the boundary claim: rewrites that must not move a score.
+
+The paper's claim is that chunks with boundaries shared by every sequence
+remove the bias of inconsistent edit boundaries. Each test here rewrites
+seeded ``conftest.random_case`` inputs in a way that keeps every corrected
+sentence, or only regroups sentences, and requires equal totals under both
+``fn_on_mismatch`` modes with ``ell`` pinned to 1.7. Each test counts the
+cases its rewrite changed, and needs a few hundred of them.
+
+Two relations do not hold yet and are strict expected failures: renumbering
+the references under ``dep`` (ROADMAP item 9) and widening a reference edit
+to write back the next source token (ROADMAP item 11).
+"""
+
+import math
+import random
+from dataclasses import fields, replace
+
+import pytest
+from conftest import random_case
+
+from chunkeval import (
+    VARIANTS,
+    AnnotatedSample,
+    Edit,
+    apply_edits,
+    cli,
+    default_config,
+    emit_m2,
+    partition,
+    run_variant,
+    score_sentence_dependent,
+    score_sentence_independent,
+)
+from chunkeval.scoring import FN_MODES, parse_variant
+
+ELL = 1.7
+CFG = replace(default_config("dep"), ell=ELL)
+SAMPLES = 3000
+CORPUS_VARIANTS = [v for v in VARIANTS if parse_variant(v)[1] == "corpus"]
+
+
+def _totals(source, hyp_edits, refs, assumption, mode):
+    cs = partition(source, hyp_edits, refs)
+    if assumption == "dep":
+        return score_sentence_dependent(cs, CFG, mode)[0]
+    return score_sentence_independent(cs, CFG, mode)
+
+
+def _check(seed, rewrite, assumptions) -> int:
+    """Assert that ``rewrite`` moves no total; return how many cases it changed.
+
+    ``rewrite(rng, source, hyp_edits, refs)`` returns the rewritten
+    ``(hyp_edits, refs)``, or None where it has nothing to change.
+    """
+    rng = random.Random(seed)
+    tested = 0
+    for _ in range(SAMPLES):
+        source, hyp_edits, refs = random_case(rng)
+        rewritten = rewrite(rng, source, hyp_edits, refs)
+        if rewritten is None:
+            continue
+        tested += 1
+        for mode in FN_MODES:
+            for assumption in assumptions:
+                want = _totals(source, hyp_edits, refs, assumption, mode)
+                got = _totals(source, *rewritten, assumption, mode)
+                assert got == want, (assumption, mode, source, hyp_edits, refs, rewritten)
+    return tested
+
+
+def _corrected(source, refs):
+    return sorted(apply_edits(source, edits) for _, edits in refs)
+
+
+def _split_substitutions(rng, source, hyp_edits, refs):
+    """Cut about half of the multi-token substitutions into two touching edits."""
+    cut = 0
+
+    def split(edits):
+        nonlocal cut
+        out = []
+        for e in edits:
+            if e.end - e.start < 2 or not e.replacement or rng.random() < 0.5:
+                out.append(e)
+                continue
+            mid = rng.randint(e.start + 1, e.end - 1)
+            k = rng.randint(0, len(e.replacement))
+            out += [Edit(e.start, mid, e.replacement[:k]), Edit(mid, e.end, e.replacement[k:])]
+            cut += 1
+        return out
+
+    new_hyp = split(hyp_edits)
+    new_refs = [(aid, split(edits)) for aid, edits in refs]
+    if not cut:
+        return None
+    assert apply_edits(source, new_hyp) == apply_edits(source, hyp_edits)
+    assert _corrected(source, new_refs) == _corrected(source, refs)
+    return new_hyp, new_refs
+
+
+def _duplicate_reference(rng, source, hyp_edits, refs):
+    """Add a copy of one reference's edits under an id above every other.
+
+    A copy under a lower id can win a tie that its original lost: that is
+    the renumbering defect of ROADMAP item 9, tested below.
+    """
+    _, edits = rng.choice(refs)
+    return hyp_edits, refs + [(refs[-1][0] + rng.randint(1, 3), edits)]
+
+
+def _renumber_references(rng, source, hyp_edits, refs):
+    """Give the references new ids, where that changes their order."""
+    ids = rng.sample(range(12), len(refs))
+    renumbered = sorted(zip(ids, (edits for _, edits in refs)), key=lambda ref: ref[0])
+    if [edits for _, edits in renumbered] == [edits for _, edits in refs]:
+        return None
+    return hyp_edits, renumbered
+
+
+def _widen_reference_edit(rng, source, hyp_edits, refs):
+    """Stretch one reference edit over the next source token, written back."""
+    widenable = [
+        (i, j)
+        for i, (_, edits) in enumerate(refs)
+        for j, e in enumerate(edits)
+        if e.end < len(source) and (j + 1 == len(edits) or edits[j + 1].start > e.end)
+    ]
+    if not widenable:
+        return None
+    i, j = rng.choice(widenable)
+    aid, edits = refs[i]
+    e = edits[j]
+    wide = Edit(e.start, e.end + 1, e.replacement + (source[e.end],))
+    new_refs = list(refs)
+    new_refs[i] = (aid, [*edits[:j], wide, *edits[j + 1 :]])
+    assert _corrected(source, new_refs) == _corrected(source, refs)
+    return hyp_edits, new_refs
+
+
+def test_splitting_a_substitution_into_touching_edits():
+    assert _check(1, _split_substitutions, ("dep", "indep")) > 300
+
+
+def test_duplicating_a_reference_under_a_new_id():
+    assert _check(2, _duplicate_reference, ("dep", "indep")) > 300
+
+
+def test_renumbering_references_under_indep():
+    assert _check(3, _renumber_references, ("indep",)) > 300
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 9: the dep pick breaks a tie on F and TP weight "
+    "by the lower annotator id, whatever FP and FN it leaves",
+)
+def test_renumbering_references_under_dep():
+    assert _check(3, _renumber_references, ("dep",)) > 300
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 11: an edit that writes back a source token at its "
+    "edge can touch another sequence's edit and merge their slots",
+)
+def test_widening_a_reference_edit_over_a_written_back_token():
+    assert _check(4, _widen_reference_edit, ("indep",)) > 300
+
+
+def _corpus(rng):
+    return [partition(*random_case(rng)) for _ in range(rng.randint(2, 12))]
+
+
+def _run(chunked, variant, mode):
+    return run_variant(chunked, variant, replace(default_config(variant), ell=ELL), mode)
+
+
+def test_reordering_sentences_changes_no_count_or_score():
+    rng = random.Random(5)
+    tested = 0
+    for _ in range(300):
+        chunked = _corpus(rng)
+        order = rng.sample(range(len(chunked)), len(chunked))
+        if order == sorted(order):
+            continue
+        tested += 1
+        moved = [chunked[i] for i in order]
+        for mode in FN_MODES:
+            for variant in VARIANTS:
+                want, got = _run(chunked, variant, mode), _run(moved, variant, mode)
+                assert (got.counts, got.scores) == (want.counts, want.scores)
+                chosen = want.chosen_refs and tuple(want.chosen_refs[i] for i in order)
+                assert got.chosen_refs == chosen
+    assert tested > 200
+
+
+def test_corpus_split_in_two_adds_up_to_the_whole():
+    rng = random.Random(6)
+    for _ in range(300):
+        chunked = _corpus(rng)
+        cut = rng.randint(1, len(chunked) - 1)
+        for mode in FN_MODES:
+            for variant in CORPUS_VARIANTS:
+                whole = _run(chunked, variant, mode)
+                head, tail = _run(chunked[:cut], variant, mode), _run(chunked[cut:], variant, mode)
+                assert head.chosen_refs + tail.chosen_refs == whole.chosen_refs
+                for f in fields(whole.counts):
+                    parts = getattr(head.counts, f.name) + getattr(tail.counts, f.name)
+                    if f.name.endswith("_n"):
+                        assert parts == getattr(whole.counts, f.name)
+                    else:
+                        assert math.isclose(parts, getattr(whole.counts, f.name), rel_tol=1e-12)
+
+
+def _shuffle_a_lines(rng, text):
+    """``text`` with the ``A`` lines of each block shuffled, and how many blocks moved."""
+    blocks, moved = [], 0
+    for block in text.split("\n\n")[:-1]:
+        s_line, *a_lines = block.split("\n")
+        shuffled = rng.sample(a_lines, len(a_lines))
+        moved += shuffled != a_lines
+        blocks.append("\n".join([s_line, *shuffled]))
+    return "".join(block + "\n\n" for block in blocks), moved
+
+
+def test_reordering_a_lines_within_a_block_changes_no_report(tmp_path, capsys):
+    rng = random.Random(7)
+    hyp_path, ref_path = tmp_path / "hyp.m2", tmp_path / "ref.m2"
+    command = ["evaluate", str(hyp_path), str(ref_path), "--hyp-format", "m2", "--ell", str(ELL)]
+    for variant in VARIANTS:
+        command += ["--variant", variant]
+    moved = 0
+    for _ in range(30):
+        cases = [random_case(rng) for _ in range(rng.randint(5, 25))]
+        texts = [
+            emit_m2(AnnotatedSample(source, {0: tuple(hyp)}) for source, hyp, _ in cases),
+            emit_m2(AnnotatedSample(source, dict(refs)) for source, _, refs in cases),
+        ]
+        shuffled = [_shuffle_a_lines(rng, text) for text in texts]
+        moved += sum(n for _, n in shuffled)
+        for mode in FN_MODES:
+            reports = []
+            for hyp_text, ref_text in (texts, [text for text, _ in shuffled]):
+                hyp_path.write_text(hyp_text, encoding="utf-8")
+                ref_path.write_text(ref_text, encoding="utf-8")
+                assert cli.main([*command, "--fn-on-mismatch", mode]) == 0
+                reports.append(capsys.readouterr())
+            assert reports[0] == reports[1]
+    assert moved > 300

@@ -10,6 +10,7 @@ import edit_level_oracle
 import partition_oracle
 import scoring_oracle
 from conftest import random_case, random_ref_sets, random_tokens
+from scoring_oracle import accuracy, aggregate_sentence, precision_recall, sum_counts
 
 from chunkeval import (
     VARIANTS,
@@ -19,8 +20,6 @@ from chunkeval import (
     OutcomeCounts,
     Scores,
     WeightConfig,
-    accuracy,
-    aggregate_sentence,
     apply_edits,
     compute_ell,
     default_config,
@@ -30,12 +29,10 @@ from chunkeval import (
     length_weight,
     parse_m2,
     partition,
-    precision_recall,
     raw_weight,
     run_variant,
     score_sentence_dependent,
     score_sentence_independent,
-    sum_counts,
     unweighted,
 )
 from chunkeval.scoring import FN_MODES, parse_variant

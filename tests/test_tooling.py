@@ -5,7 +5,8 @@ The package's ``__version__`` is the version ``pyproject.toml`` declares,
 field has one ``evaluate`` flag, ``corpus.split_lines`` is the one line
 splitter, ``chunker.splice_slots`` the one code that splices edits into
 slots, and the CLI parses every M2 file block by block. The README's
-Library example runs, and scores as ``evaluate`` does.
+Library example imports only public names, runs, and scores as
+``evaluate`` does.
 """
 
 import ast
@@ -224,7 +225,18 @@ def test_readme_library_example_scores_as_evaluate(tmp_path, monkeypatch, capsys
         data = codecs.BOM_UTF8 + text.replace("\n", "\r\n").encode("utf-8")
         (tmp_path / name).write_bytes(data)
     monkeypatch.chdir(tmp_path)
-    exec(compile(_library_example(), "README.md", "exec"), {})
+    example = _library_example()
+    # every chunkeval import of the example is "from chunkeval import" of public names
+    pairs = []  # (module, name) of each import in the example
+    for node in ast.walk(ast.parse(example)):
+        if isinstance(node, ast.Import):
+            pairs += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            pairs += [(node.module, alias.name) for alias in node.names]
+    ours = [(module, name) for module, name in pairs if module.partition(".")[0] == "chunkeval"]
+    assert len(ours) > 5
+    assert all(module == "chunkeval" and name in chunkeval.__all__ for module, name in ours)
+    exec(compile(example, "README.md", "exec"), {})
     f_beta, tp_n = capsys.readouterr().out.split()
     assert cli.main(["evaluate", "system_output.txt", "references.m2", "--variant", "dep"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
