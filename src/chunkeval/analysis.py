@@ -85,16 +85,15 @@ def boundary_stats(
     icc = iuc = cc = 0
     pass_ratios: list[tuple[float, float, float]] = []
     for i, sample in enumerate(samples):
-        ids = sample.annotator_ids
-        if len(ids) < 2:
+        annotations = sample.annotations
+        if len(annotations) < 2:
             raise TooFewAnnotatorsError(
-                f"sample {i + 1} has {len(ids)} annotator(s); need at least 2"
+                f"sample {i + 1} has {len(annotations)} annotator(s); need at least 2"
             )
         intervals = sorted(
-            (e.start, e.end, aid) for aid in ids for e in sample.annotations[aid]
+            (e.start, e.end, aid) for aid, edits in annotations.items() for e in edits
         )
-        for held_out in ids:
-            edits = sample.annotations[held_out]
+        for held_out, edits in annotations.items():
             if not edits:
                 continue
             local = _hold_out(intervals, held_out, edits)
@@ -127,7 +126,7 @@ def corpus_stats(samples: Sequence[AnnotatedSample]) -> dict:
     slot ``(a, b)`` where it yields a segment, the chunk counts as changed
     instead, with the larger of the two lengths, and the reference's length
     gains ``len(segment) - (b - a)``. Counts and token sums are ints; no sum
-    depends on order, so references are read in dict order.
+    depends on order; references are read in id order.
     """
     n_refs = ref_sum = n_edits = edit_sum = 0
     n_unchanged = unchanged_sum = n_changed = changed_sum = 0

@@ -157,7 +157,7 @@ def splice_slots(
 def partition(
     source: Sequence[str],
     hyp_edits: Sequence[Edit],
-    ref_edit_sets: Sequence[tuple[int, Sequence[Edit]]],
+    ref_edit_sets: Iterable[tuple[int, Sequence[Edit]]],
 ) -> ChunkedSample:
     """Segment source, hypothesis and references into aligned chunks.
 

@@ -393,7 +393,7 @@ def _kept_samples(
         kept = {}
         for i, sample in enumerate(samples):
             filtered = drop_unchanged_references(sample)
-            if filtered is not None and len(filtered.annotator_ids) >= min_annotators:
+            if filtered is not None and len(filtered.annotations) >= min_annotators:
                 kept[i] = filtered
         skipped = len(samples) - len(kept)
         if skipped:
@@ -411,11 +411,7 @@ def _load_chunked(args) -> list[ChunkedSample]:
     samples = parse_m2(_read_blocks(args.ref))
     hyp_edits = _load_hypotheses(args, samples)
     return [
-        partition(
-            sample.source,
-            hyp_edits[i],
-            [(aid, sample.annotations[aid]) for aid in sample.annotator_ids],
-        )
+        partition(sample.source, hyp_edits[i], sample.annotations.items())
         for i, sample in _kept_samples(args, samples, 1).items()
     ]
 
@@ -574,7 +570,3 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if enabled:
             gc.enable()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -101,8 +101,7 @@ def check_edits(edits: Iterable[Edit], source_len: int) -> tuple[Edit, ...]:
     if type(edits) is _CheckedEdits and edits[-1].end <= source_len:
         return edits
     ordered = tuple(sorted(edits, key=lambda e: (e.start, e.end)))
-    if ordered and max(e.end for e in ordered) > source_len:
-        e = next(e for e in ordered if e.end > source_len)
+    if e := next((e for e in ordered if e.end > source_len), None):
         raise BoundsError(f"edit [{e.start}, {e.end}) exceeds source length {source_len}")
     for a, b in zip(ordered, ordered[1:]):
         if a.end > b.start:
@@ -116,7 +115,8 @@ def check_edits(edits: Iterable[Edit], source_len: int) -> tuple[Edit, ...]:
 
 @dataclass(frozen=True)
 class AnnotatedSample:
-    """One source sentence with per-annotator edit lists."""
+    """One source sentence with per-annotator edit lists, checked in the
+    order given and then held by ascending annotator id."""
 
     source: TokenSeq
     annotations: dict[int, tuple[Edit, ...]] = field(default_factory=dict)
@@ -127,11 +127,12 @@ class AnnotatedSample:
             aid: check_edits(edits, len(self.source))
             for aid, edits in self.annotations.items()
         }
-        object.__setattr__(self, "annotations", checked)
+        object.__setattr__(self, "annotations", dict(sorted(checked.items())))
 
     @property
     def annotator_ids(self) -> list[int]:
-        return sorted(self.annotations)
+        """Ids ascending, the order of ``annotations``, which is read-only by contract."""
+        return list(self.annotations)
 
     def reference(self, aid: int) -> TokenSeq:
         """The corrected sentence of annotator ``aid``."""
@@ -189,10 +190,10 @@ def parse_m2(text: str | Iterable[str]) -> list[AnnotatedSample]:
     call; the checks that depend on the sentence or the line run on every
     line. Each edit is compared with the previous edit of its annotator as
     it is read. A block whose edits are all in order and disjoint is built
-    directly, holding ``_CheckedEdits``; any other block is sorted and
-    checked by ``AnnotatedSample``, which names the overlap. Errors come
-    in file order: an error raised while reading the pieces is raised
-    only after the lines before it were parsed.
+    directly, in id order, holding ``_CheckedEdits``; any other block is
+    sorted and checked by ``AnnotatedSample``, which names the overlap.
+    Errors come in file order: an error raised while reading the pieces is
+    raised only after the lines before it were parsed.
     """
     samples: list[AnnotatedSample] = []
     source: TokenSeq | None = None
@@ -226,7 +227,7 @@ def parse_m2(text: str | Iterable[str]) -> list[AnnotatedSample]:
             object.__setattr__(
                 sample,
                 "annotations",
-                {aid: _CheckedEdits(es) if es else () for aid, es in edits.items()},
+                {aid: _CheckedEdits(edits[aid]) if edits[aid] else () for aid in sorted(edits)},
             )
             samples.append(sample)
         else:
@@ -336,8 +337,7 @@ def emit_m2(samples: Iterable[AnnotatedSample]) -> str:
             bad = next((t for t in sample.source if tokenize(t) != (t,)), "")
             raise DataError(f"sample {number}: cannot write {bad!r} to M2")
         lines = ["S " + source]
-        for aid in sample.annotator_ids:
-            annots = sample.annotations[aid]
+        for aid, annots in sample.annotations.items():
             if aid < 0:
                 raise DataError(f"sample {number}: cannot write annotator {aid} to M2")
             if not annots:

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
 from .chunker import ChunkedSample
-from .errors import NoChunksError
+from .errors import DataError, NoChunksError
 
 FN_BOTH = "both"
 FN_FP_ONLY = "fp-only"
@@ -363,8 +363,10 @@ def run_variant(
     if level == "corpus":
         scores = Scores.from_counts(totals, cfg.beta)
     else:
+        if not per_sentence:
+            raise DataError(f"{variant}: no sentences to average")
         # each sentence's P, R, F and Acc, averaged by fsum: F averaged, not recomputed
-        ratios = list(zip(*(_ratios(*t[:4], cfg.beta) for t in per_sentence))) or [()] * 4
+        ratios = zip(*(_ratios(*t[:4], cfg.beta) for t in per_sentence))
         scores = Scores(*(math.fsum(r) / len(per_sentence) for r in ratios))
     if scored is not None:
         scored[key] = VariantResult(variant, replace(totals), scores, chosen)

@@ -586,6 +586,31 @@ class TestChunks:
             "sequence", "source", "hypothesis", "ref-1"
         ]
 
+    def test_reference_rows_ascend_whatever_the_file_order(self, tmp_path, capsys):
+        # annotators listed descending; the second block lists 3's edits out of order
+        (tmp_path / "ref.m2").write_text(
+            "S a b c\n"
+            "A 2 3|||R|||x|||REQUIRED|||-NONE-|||7\n"
+            "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||4\n"
+            "A 0 1|||R|||y|||REQUIRED|||-NONE-|||1\n"
+            "\n"
+            "S d e\n"
+            "A 1 2|||R|||z|||REQUIRED|||-NONE-|||3\n"
+            "A 0 1|||R|||w|||REQUIRED|||-NONE-|||3\n"
+            "A 0 0|||M|||v|||REQUIRED|||-NONE-|||2\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "hyp.txt").write_text("a b c\nd e\n", encoding="utf-8")
+        argv = ["chunks", str(tmp_path / "hyp.txt"), str(tmp_path / "ref.m2")]
+        for extra, rows in [
+            ([], [["ref-1", "ref-4", "ref-7"], ["ref-2", "ref-3"]]),
+            (["--drop-unchanged-refs"], [["ref-1", "ref-7"], ["ref-2", "ref-3"]]),
+        ]:
+            code, out, _ = run(capsys, argv + extra)
+            assert code == 0
+            tables = [t.splitlines() for t in out.strip().split("\n\n")]
+            assert [[l.split("\t")[0] for l in t[3:]] for t in tables] == rows
+
     def test_tsv_tables(self, data, capsys):
         code, out, _ = run(
             capsys, ["chunks", str(data / "ref0-as-hyp.txt"), str(data / "ref.m2")]

@@ -216,6 +216,25 @@ class TestParseM2:
         assert err.value.line == 1
         assert isinstance(err.value.__cause__, OverlapError)
 
+    @pytest.mark.parametrize("first", [5, 2])
+    def test_overlaps_in_two_annotators_name_the_first_listed(self, first):
+        # each annotator's edits are checked in file order, before the ids are sorted
+        lines = {
+            5: "A 2 4|||X|||q|||REQUIRED|||-NONE-|||5\nA 3 4|||X|||r|||REQUIRED|||-NONE-|||5\n",
+            2: "A 0 2|||X|||q|||REQUIRED|||-NONE-|||2\nA 1 2|||X|||r|||REQUIRED|||-NONE-|||2\n",
+        }
+        text = "S a b c d\n" + lines[first] + lines[7 - first]
+        named = {5: "edits [2, 4) and [3, 4) overlap", 2: "edits [0, 2) and [1, 2) overlap"}
+        with pytest.raises(ParseError) as err:
+            parse_m2(text)
+        assert str(err.value) == "line 1: " + named[first]
+        edits = {
+            5: (Edit(2, 4, ("q",), "X"), Edit(3, 4, ("r",), "X")),
+            2: (Edit(0, 2, ("q",), "X"), Edit(1, 2, ("r",), "X")),
+        }
+        with pytest.raises(OverlapError, match=re.escape(named[first])):
+            AnnotatedSample(tuple("abcd"), {aid: edits[aid] for aid in (first, 7 - first)})
+
     def test_overlap_has_record_line_number(self):
         text = (
             "S a\nA 0 1|||X|||q|||REQUIRED|||-NONE-|||0\n\n"
@@ -527,6 +546,11 @@ class TestParseM2InBlocks:
         "empty": "",
         "blank separator": "S a\n" + EDIT_LINE + " \t\x0b\nS b\n" + EDIT_LINE + "  \n",
         "late error": ("S a\n" + EDIT_LINE + "\n") * 8 + "S a\nA 0 2|||R|||x|||REQUIRED|||-NONE-|||0\n",
+        # an in-order block and an out-of-order one, annotators listed descending
+        "descending annotators": "S a b c\nA 2 3|||R|||x|||REQUIRED|||-NONE-|||7\n"
+        "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||4\nA 0 1|||R|||y|||REQUIRED|||-NONE-|||1\n"
+        "\nS d e\nA 1 2|||R|||z|||REQUIRED|||-NONE-|||3\nA 0 1|||R|||w|||REQUIRED|||-NONE-|||3\n"
+        "A 0 0|||M|||v|||REQUIRED|||-NONE-|||2\n",
     }
 
     @pytest.fixture(params=CASES, ids=list(CASES))
@@ -563,6 +587,9 @@ class TestParseM2InBlocks:
         assert not cases["no final newline"].endswith("\n")
         expected = parse_outcome(m2_oracle.parse_m2, cases["late error"])
         assert expected == ("line 26: edit [0, 2) outside source of length 1", 26)
+        # the other tests compare the direct build with the oracle's constructor
+        samples = m2_oracle.parse_m2(cases["descending annotators"])
+        assert [list(s.annotations) for s in samples] == [[1, 4, 7], [2, 3]]
 
 
 class TestParseM2Memos:
@@ -892,6 +919,80 @@ class TestDropUnchangedReferences:
 
     def test_none_when_all_unchanged(self):
         assert drop_unchanged_references(AnnotatedSample(("a",), {0: ()})) is None
+
+
+def m2_block_in_annotator_order(rng, descending):
+    """An M2 block, its annotators listed in shuffled or descending id order.
+
+    Each annotator's lines are together. Now and then an annotator lists its
+    edits in reverse, so the block is built by ``AnnotatedSample``; an
+    annotator with no edits is declared by a noop record. Returns the block,
+    its annotator ids as listed, and whether an annotator was reversed.
+    """
+    source = random_tokens(rng, 1, 8)
+    refs = random_ref_sets(rng, len(source), 1, 5)
+    if descending:
+        refs.reverse()
+    else:
+        rng.shuffle(refs)
+    lines, reversed_any = ["S " + " ".join(source)], False
+    for aid, edits in refs:
+        if len(edits) > 1 and rng.random() < 0.3:
+            edits.reverse()
+            reversed_any = True
+        if not edits:
+            lines.append(f"A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||{aid}")
+        for e in edits:
+            repl = " ".join(e.replacement) or "-NONE-"
+            lines.append(f"A {e.start} {e.end}|||R|||{repl}|||REQUIRED|||-NONE-|||{aid}")
+    return "\n".join(lines) + "\n\n", [aid for aid, _ in refs], reversed_any
+
+
+class TestAnnotatorOrder:
+    """A sample holds its annotators in ascending id, however they were given."""
+
+    def test_constructor_and_drop_unchanged_references(self):
+        rng = random.Random(127)
+        shuffled = dropped = 0
+        for _ in range(500):
+            source = random_tokens(rng, 1, 6)
+            refs = random_ref_sets(rng, len(source), 1, 5)
+            rng.shuffle(refs)
+            ids = [aid for aid, _ in refs]
+            sample = AnnotatedSample(source, {aid: tuple(edits) for aid, edits in refs})
+            assert list(sample.annotations) == sample.annotator_ids == sorted(ids)
+            changed = [aid for aid in ids if sample.reference(aid) != source]
+            filtered = drop_unchanged_references(sample)
+            if filtered is not None:
+                assert list(filtered.annotations) == sorted(changed)
+            shuffled += ids != sorted(ids)
+            dropped += filtered is not None and len(changed) < len(ids) and changed != sorted(changed)
+        assert shuffled > 200 and dropped > 40, (shuffled, dropped)
+
+    def test_parse_m2_whole_in_pieces_and_from_a_file(self, tmp_path, monkeypatch):
+        rng, cut_rng = random.Random(131), random.Random(132)
+        path = tmp_path / "refs.m2"
+        seen = dict.fromkeys(["in order", "reversed", "noop only", "descending", "shuffled"], 0)
+        for _ in range(400):
+            descending = rng.random() < 0.5
+            blocks = [m2_block_in_annotator_order(rng, descending) for _ in range(rng.randint(1, 4))]
+            text = "".join(block for block, _, _ in blocks)
+            path.write_bytes(text.encode("utf-8"))
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", cut_rng.randint(1, 64))
+            expected = [sorted(ids) for _, ids, _ in blocks]
+            for samples in (
+                parse_m2(text),
+                parse_m2(random_pieces(cut_rng, text)),
+                parse_m2(cli._read_blocks(path)),
+            ):
+                assert [list(s.annotations) for s in samples] == expected, repr(text)
+                assert [s.annotator_ids for s in samples] == expected
+            for block, ids, reversed_any in blocks:
+                unsorted = ids != sorted(ids)
+                seen["reversed" if reversed_any else "in order"] += unsorted
+                seen["noop only"] += unsorted and "|||noop|||" in block
+                seen["descending" if descending else "shuffled"] += unsorted
+        assert min(seen.values()) >= 100, seen
 
 
 def test_parsed_edits_always_apply():

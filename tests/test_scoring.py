@@ -15,6 +15,7 @@ from scoring_oracle import accuracy, aggregate_sentence, precision_recall, sum_c
 from chunkeval import (
     VARIANTS,
     AnnotatedSample,
+    DataError,
     Edit,
     NoChunksError,
     OutcomeCounts,
@@ -384,9 +385,10 @@ class TestRunVariantMatchesOracle:
                 got = run_variant([], variant, cfg)
                 assert self.bits(got) == self.bits(scoring_oracle.run_variant([], variant, cfg))
             else:
-                for run in (run_variant, scoring_oracle.run_variant):
-                    with pytest.raises(ZeroDivisionError):
-                        run([], variant, cfg)
+                with pytest.raises(DataError, match=f"^{variant}: no sentences to average$"):
+                    run_variant([], variant, cfg)
+                with pytest.raises(ZeroDivisionError):
+                    scoring_oracle.run_variant([], variant, cfg)
 
 
 class TestFBeta:

@@ -4,7 +4,8 @@ The package's ``__version__`` is the version ``pyproject.toml`` declares,
 ``__all__`` lists exactly what the package imports, each ``WeightConfig``
 field has one ``evaluate`` flag, ``corpus.split_lines`` is the one line
 splitter, ``chunker.splice_slots`` the one code that splices edits into
-slots, and the CLI parses every M2 file block by block. The README's
+slots, the CLI parses every M2 file block by block, and ``__main__.py``
+is the one module entry point. The README's
 Library example imports only public names, runs, and scores as
 ``evaluate`` does.
 """
@@ -200,6 +201,17 @@ def test_cli_parses_every_m2_file_block_by_block():
         "parse_m2(_read_blocks(args.ref))",
         "parse_m2(_read_blocks(args.ref))",
     ]
+
+
+def test_main_module_is_the_only_entry_point():
+    # python -m chunkeval runs __main__.py; no other module runs as a script
+    guarded = [
+        name
+        for name, tree in _modules()
+        for node in tree.body
+        if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)
+    ]
+    assert guarded == ["__main__.py"]
 
 
 def _library_example() -> str:
