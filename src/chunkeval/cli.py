@@ -5,7 +5,6 @@ stderr, data to stdout (or to the file given with -o).
 """
 
 import argparse
-import codecs
 import gc
 import json
 import sys
@@ -287,46 +286,38 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 # --- helpers ---------------------------------------------------------------
 
 
-# bytes read from an input file at a time
-_BLOCK_BYTES = 1 << 16
+# characters read from an input file at a time
+_BLOCK_CHARS = 1 << 16
 
 
 def _read_blocks(path: str) -> Iterator[str]:
-    """The UTF-8 text of ``path``, one block of ``_BLOCK_BYTES`` at a time.
+    """The text of ``path`` as ``open(path, encoding="utf-8-sig")`` reads it.
 
-    Newlines are translated as ``Path.read_text`` does (``\r\n`` and a lone
-    ``\r`` become ``\n``), and one leading U+FEFF is dropped, as by
-    ``utf-8-sig``. A character or a ``\r`` at a block's end is decoded
-    with the next block. A byte that is not UTF-8 raises DataError naming the
-    reason and its offset from the start of the file, BOM included, after
-    the text before it has been yielded.
+    It comes in blocks of up to ``_BLOCK_CHARS`` characters, none empty.
+    The stdlib's text layer decodes strict UTF-8, reads ``\r\n`` and a lone
+    ``\r`` as ``\n`` (holding a trailing ``\r`` back across reads), and drops
+    one leading U+FEFF. A byte that is not UTF-8 raises DataError naming the
+    reason. Only then is a regular file read again, whole, so the error also
+    names the byte's offset from its start, BOM included, after the text
+    before the byte has been yielded. A pipe cannot be read again.
     """
-    with open(path, "rb") as file:
-        undecoded, offset, error = b"", 0, None
-        while True:
-            block = file.read(_BLOCK_BYTES)
-            final = not block
-            data = undecoded + block
-            try:
-                text, used = codecs.utf_8_decode(data, "strict", final)
-            except UnicodeDecodeError as exc:
-                text, used, error, final = data[: exc.start].decode(), exc.start, exc, True
-            if not final and text[-1:] == "\r":  # left undecoded: it may start a \r\n
-                text, used = text[:-1], used - 1
-            if not offset and text[:1] == "\ufeff":
-                text = text[1:]
-            offset += used
-            undecoded = data[used:]
-            if "\r" in text:
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
-            if text:
-                yield text
-            if error is not None:
-                raise DataError(
-                    f"{path}: not UTF-8 text ({error.reason} at byte {offset})"
-                ) from error
-            if final:
-                return
+    done = 0
+    try:
+        with open(path, encoding="utf-8-sig") as file:
+            while block := file.read(_BLOCK_CHARS):
+                done += len(block)
+                yield block
+        return
+    except UnicodeDecodeError as exc:
+        reason, data = exc.reason, Path(path).read_bytes() if Path(path).is_file() else b""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        text = data[: exc.start].decode("utf-8-sig")
+        if rest := text.replace("\r\n", "\n").replace("\r", "\n")[done:]:
+            yield rest
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    raise DataError(f"{path}: not UTF-8 text ({reason})")
 
 
 def _read(path: str) -> str:

@@ -47,6 +47,14 @@ def _splits_plainly(text: str) -> bool:
     )
 
 
+def _decimal(field: str) -> int:
+    """``int(field)``, where a ``_``, a ``+`` or a non-ASCII digit raises its ValueError too."""
+    digits = field.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {field!r:.200}")
+    return int(field)
+
+
 def tokenize(text: str) -> TokenSeq:
     """Split on runs of ASCII whitespace; empty input gives an empty tuple."""
     if _splits_plainly(text):
@@ -255,14 +263,14 @@ def parse_m2(text: str | Iterable[str]) -> list[AnnotatedSample]:
                     if len(parts) != 2:
                         raise ParseError(f"bad span field {fields[0][2:]!r}", lineno)
                     try:
-                        span = spans[fields[0]] = int(parts[0]), int(parts[1])
+                        span = spans[fields[0]] = _decimal(parts[0]), _decimal(parts[1])
                     except ValueError as exc:
                         raise ParseError(str(exc), lineno) from exc
                 start, end = span
                 annotator = annotators.get(fields[5])
                 if annotator is None:
                     try:
-                        annotator = int(fields[5])
+                        annotator = _decimal(fields[5])
                     except ValueError as exc:
                         raise ParseError(str(exc), lineno) from exc
                     if annotator < 0:

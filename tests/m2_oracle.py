@@ -7,6 +7,8 @@ The new parser must give equal samples, or the same ``ParseError`` message
 and line, on any text.
 """
 
+import re
+
 from chunkeval.corpus import (
     NOOP_TYPE,
     _NONE_FIELD,
@@ -67,8 +69,8 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
             if len(span) != 2:
                 raise ParseError(f"bad span field {fields[0]!r}", lineno)
             try:
-                start, end = int(span[0]), int(span[1])
-                annotator = int(fields[5])
+                start, end = decimal(span[0]), decimal(span[1])
+                annotator = decimal(fields[5])
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
             if annotator < 0:
@@ -120,6 +122,16 @@ def parse_m2(text: str) -> list[AnnotatedSample]:
             raise ParseError("'A' line before any 'S' line", lineno)
     flush()
     return samples
+
+
+def decimal(field: str) -> int:
+    """``int(field)`` for an optional ``-`` and ASCII digits, with whitespace around.
+
+    ``int`` alone also reads ``1_0``, ``+1`` and non-ASCII digits.
+    """
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", field):
+        raise ValueError(f"invalid literal for int() with base 10: {field!r:.200}")
+    return int(field)
 
 
 def split_lines(text: str) -> list[str]:

@@ -280,6 +280,50 @@ class TestParseM2:
             m2_oracle.parse_m2("S a b\n" + line + "\n")
         assert str(oracle_err.value) == str(err.value)
 
+    NOT_DECIMAL = ["1_0", "+1", "\u0661"]  # int() reads them as 10, 1 and 1
+
+    @pytest.mark.parametrize("field", NOT_DECIMAL, ids=["underscore", "plus", "arabic-indic"])
+    @pytest.mark.parametrize("where", ["start", "end", "annotator"])
+    def test_integer_fields_are_ascii_decimal(self, where, field):
+        span = {"start": f"{field} 1", "end": f"0 {field}"}.get(where, "0 1")
+        annotator = field if where == "annotator" else "0"
+        text = f"S a b\nA {span}|||R|||x|||REQUIRED|||-NONE-|||{annotator}\n"
+        with pytest.raises(ParseError) as err:
+            parse_m2(text)
+        assert (str(err.value), err.value.line) == (
+            f"line 2: invalid literal for int() with base 10: {field!r}",
+            2,
+        )
+        with pytest.raises(ParseError) as oracle_err:
+            m2_oracle.parse_m2(text)
+        assert str(oracle_err.value) == str(err.value)
+
+    @pytest.mark.parametrize("field", ["1 ", " 1", "1\t", "-0"])
+    def test_whitespace_around_an_annotator_id_still_parses(self, field):
+        text = f"S a b\nA 0 1|||R|||x|||REQUIRED|||-NONE-|||{field}\n"
+        (sample,) = parse_m2(text)
+        assert list(sample.annotations) == [int(field)]
+        assert repr(m2_oracle.parse_m2(text)) == repr([sample])
+
+    def test_the_integer_rule_matches_the_oracle_on_seeded_fields(self):
+        def outcome(read, field):
+            try:
+                return read(field)
+            except ValueError as exc:
+                return str(exc)
+
+        rng = random.Random(28)
+        chars = "019-+_ \t\x1c\x85\u2028\u0661x"
+        seen = {"int": 0, "error": 0}
+        for _ in range(3000):
+            field = "".join(rng.choices(chars, k=rng.randint(0, 5)))
+            got = outcome(corpus._decimal, field)
+            assert got == outcome(m2_oracle.decimal, field), repr(field)
+            seen["int" if isinstance(got, int) else "error"] += 1
+            if isinstance(got, int):
+                assert got == int(field) and "_" not in field and "+" not in field
+        assert min(seen.values()) >= 100, seen
+
     def test_empty_insertion_rejected(self):
         with pytest.raises(ParseError):
             parse_m2("S a\nA 0 0|||X|||-NONE-|||REQUIRED|||-NONE-|||0\n")
@@ -499,7 +543,7 @@ def test_parse_m2_matches_oracle_on_fuzzed_text(tmp_path, monkeypatch):
     for _ in range(3000):
         text = fuzz_m2_text(rng)
         path.write_bytes(text.encode("utf-8"))
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", cut_rng.randint(1, 8))
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", cut_rng.randint(1, 8))
         outcomes = [
             parse_outcome(parse, text)
             for parse in (
@@ -575,7 +619,7 @@ class TestParseM2InBlocks:
         path = tmp_path / "refs.m2"
         path.write_bytes(text.encode("utf-8"))
         for size in (*range(1, 10), 1 << 16):
-            monkeypatch.setattr(cli, "_BLOCK_BYTES", size)
+            monkeypatch.setattr(cli, "_BLOCK_CHARS", size)
             got = parse_outcome(parse_m2, cli._read_blocks(path))
             assert got == expected and repr(got) == repr(expected), size
 
@@ -978,7 +1022,7 @@ class TestAnnotatorOrder:
             blocks = [m2_block_in_annotator_order(rng, descending) for _ in range(rng.randint(1, 4))]
             text = "".join(block for block, _, _ in blocks)
             path.write_bytes(text.encode("utf-8"))
-            monkeypatch.setattr(cli, "_BLOCK_BYTES", cut_rng.randint(1, 64))
+            monkeypatch.setattr(cli, "_BLOCK_CHARS", cut_rng.randint(1, 64))
             expected = [sorted(ids) for _, ids, _ in blocks]
             for samples in (
                 parse_m2(text),

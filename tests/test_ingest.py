@@ -1,14 +1,18 @@
 """Block-wise input: ``cli._read_blocks`` and the M2 files parsed from it.
 
 The reader is compared with ``Path.read_text`` and ``bytes.decode`` on
-seeded bytes at tiny block sizes. An M2 file reports its first defect in
-file order, a leading byte-order mark changes no command's output, and a
-streamed parse peaks close to the size of what it returns.
+seeded bytes at tiny block sizes, and on seeded files of 9-300 KB. An M2
+file reports its first defect in file order, a leading byte-order mark
+changes no command's output, and a streamed parse peaks close to the size
+of what it returns.
 """
 
 import gc
+import os
 import random
+import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from test_cli import HYP_REF0, HYP_SOURCE, REF_M2, report_rows, run
@@ -29,8 +33,13 @@ BAD_BYTES = [
 ]
 
 
-def random_bytes(rng: random.Random) -> bytes:
-    parts = [rng.choice(GOOD_BYTES) for _ in range(rng.randint(0, 40))]
+def random_bytes(rng: random.Random, size: int | None = None) -> bytes:
+    """Up to 40 good pieces, or about ``size`` bytes of them, now and then
+    after a BOM, with up to two bad pieces put anywhere."""
+    if size is None:
+        parts = [rng.choice(GOOD_BYTES) for _ in range(rng.randint(0, 40))]
+    else:  # a good piece averages about two bytes
+        parts = rng.choices(GOOD_BYTES, k=size // 2)
     if rng.random() < 0.3:
         parts.insert(0, BOM)
     for _ in range(rng.choice([0, 0, 1, 1, 2])):
@@ -60,7 +69,7 @@ def test_read_blocks_matches_read_text_and_decode(tmp_path, monkeypatch):
     for _ in range(2000):
         data = random_bytes(rng)
         block = rng.choice([1, 2, 3, 4, 5, 7, 1 << 16])
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", block)
         path.write_bytes(data)
         pieces, error = read_pieces(path)
         assert all(pieces)  # no empty piece is yielded
@@ -96,7 +105,7 @@ def test_read_blocks_at_every_block_size(tmp_path, monkeypatch, data, text):
     path = tmp_path / "input"
     path.write_bytes(data)
     for block in range(1, len(data) + 2):
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", block)
         pieces, error = read_pieces(path)
         assert ("".join(pieces), error) == (text, None)
 
@@ -105,10 +114,92 @@ def test_a_bad_byte_is_counted_from_the_start_of_the_file(tmp_path, monkeypatch)
     path = tmp_path / "input"
     path.write_bytes(BOM + b"ab\r\ncd\xe9")
     for block in (1, 2, 4, 1 << 16):
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", block)
         assert read_pieces(path)[1] == (
             f"{path}: not UTF-8 text (unexpected end of data at byte 9)"
         )
+
+
+# where a read of the text layer or of _read_blocks may end: the text
+# layer reads 8 KiB and more at a time, and _read_blocks 64 Ki characters
+BOUNDARIES = [1 << 13, 1 << 16, 3 << 15, 1 << 17, 1 << 18]
+ACROSS = [b"\r\n", b"\r\r\n", b"\r", BOM, *(c.encode("utf-8") for c in "é今😀")]
+
+
+def test_read_blocks_matches_at_real_sizes(tmp_path, monkeypatch):
+    # a bad byte past the first read, after text that was partly yielded
+    rng = random.Random(2028)
+    path, prefix = tmp_path / "input", tmp_path / "prefix"
+    seen = dict.fromkeys(["valid", "BOM", "bad past 8 KiB", "bad past 64 KiB"], 0)
+    seen["pieces before bad"] = 0
+    for _ in range(40):
+        data = bytearray(random_bytes(rng, rng.randint(9 << 10, 300 << 10)))
+        if rng.random() < 0.5:
+            at = rng.randint(rng.choice([1 << 13, 1 << 16]), max(len(data), 1 << 16))
+            data[at:at] = rng.choice(BAD_BYTES)
+        for at in [b for b in BOUNDARIES if b < len(data)]:
+            # the first byte of ``across`` is the last one before ``at``
+            start = at - 1
+            while data[start] & 0xC0 == 0x80:  # not inside a character
+                start -= 1
+            data[start:start] = b"a" * (at - 1 - start) + rng.choice(ACROSS)
+        data = bytes(data)
+        path.write_bytes(data)
+        seen["BOM"] += data.startswith(BOM)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            expected = (f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})",)
+            prefix.write_bytes(data[: exc.start])
+            text = without_bom(prefix.read_text(encoding="utf-8"))
+            if exc.start >= 1 << 13:
+                seen["bad past 64 KiB" if exc.start >= 1 << 16 else "bad past 8 KiB"] += 1
+        else:
+            expected, text = (None,), without_bom(path.read_text(encoding="utf-8"))
+            seen["valid"] += 1
+        for block in (1 << 16, 4099, 509):
+            monkeypatch.setattr(cli, "_BLOCK_CHARS", block)
+            pieces, error = read_pieces(path)
+            assert all(pieces)
+            assert ("".join(pieces), error) == (text, *expected), block
+            seen["pieces before bad"] += error is not None and len(pieces) >= 2
+    assert min(seen.values()) >= 5 and seen["pieces before bad"] >= 10, seen
+
+
+def test_a_file_that_reads_as_utf8_the_second_time_is_a_data_error(tmp_path, monkeypatch):
+    # the file changed under the reader, so no offset can be named
+    path = tmp_path / "input"
+    path.write_bytes(b"ab\xff")
+    monkeypatch.setattr(cli.Path, "read_bytes", lambda self: b"abc")
+    assert read_pieces(path) == ([], f"{path}: not UTF-8 text (invalid start byte)")
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+def test_a_pipe_is_not_read_again():
+    # the text layer has taken what it read from the pipe; reading on would
+    # name an offset into the rest of it
+    text = "S a b\n" * 30000
+    data = text.encode("utf-8") + b"\xff" + text.encode("utf-8") + b"\xfe"
+    read, write = os.pipe()
+
+    def feed():
+        try:
+            os.write(write, data)
+        except BrokenPipeError:  # the reader stopped at the bad byte
+            pass
+        finally:
+            os.close(write)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        pieces, error = read_pieces(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert error == f"/dev/fd/{read}: not UTF-8 text (invalid start byte)"
+    assert len(pieces) >= 2 and text.startswith("".join(pieces))
 
 
 RECORD = (
@@ -125,7 +216,7 @@ class TestFirstDefectInFileOrder:
 
     @pytest.fixture(params=[1 << 16, 7], ids=["one block", "7-byte blocks"])
     def block(self, request, monkeypatch):
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", request.param)
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", request.param)
 
     @pytest.mark.parametrize("role", ["ref", "hyp"])
     def test_parse_error_first(self, tmp_path, capsys, block, role):

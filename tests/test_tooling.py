@@ -4,8 +4,9 @@ The package's ``__version__`` is the version ``pyproject.toml`` declares,
 ``__all__`` lists exactly what the package imports, each ``WeightConfig``
 field has one ``evaluate`` flag, ``corpus.split_lines`` is the one line
 splitter, ``chunker.splice_slots`` the one code that splices edits into
-slots, the CLI parses every M2 file block by block, and ``__main__.py``
-is the one module entry point. The README's
+slots, ``cli._read_blocks`` the one file reader and ``cli._write_out`` the
+one file writer, the CLI parses every M2 file block by block, and
+``__main__.py`` is the one module entry point. The README's
 Library example imports only public names, runs, and scores as
 ``evaluate`` does.
 """
@@ -201,6 +202,26 @@ def test_cli_parses_every_m2_file_block_by_block():
         "parse_m2(_read_blocks(args.ref))",
         "parse_m2(_read_blocks(args.ref))",
     ]
+
+
+def test_read_blocks_is_the_only_file_reader():
+    # every input file is read as open(path, encoding="utf-8-sig") reads it,
+    # and every output file is written by _write_out
+    found = set()
+    for name, tree in _modules():
+        owner = {}
+        for func in ast.walk(tree):  # breadth first, so inner functions win
+            if isinstance(func, ast.FunctionDef):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):  # open(...) or x.open(...), x.read_text(...), ...
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called in ("open", "read_text", "read_bytes", "write_text"):
+                    found.add((called, name, owner.get(id(node))))
+    readers = {(name, func) for call, name, func in found if call != "write_text"}
+    writers = {(name, func) for call, name, func in found if call == "write_text"}
+    assert readers == {("cli.py", "_read_blocks")}
+    assert writers == {("cli.py", "_write_out")}
 
 
 def test_main_module_is_the_only_entry_point():
