@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .align import extract_edits
 from .analysis import (
     BoundaryStats,
-    HumanTable,
     boundary_stats,
     correlate,
     corpus_stats,
@@ -76,7 +75,6 @@ __all__ = [
     "DegenerateError",
     "Edit",
     "EmptySourceError",
-    "HumanTable",
     "LengthMismatchError",
     "NoChunksError",
     "OutcomeCounts",

@@ -222,19 +222,12 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return pearson(_ranks(xs), _ranks(ys))
 
 
-@dataclass(frozen=True)
-class HumanTable:
-    """System id -> human score."""
-
-    scores: dict[str, float]
-
-
 def correlate(
-    metric_scores: Mapping[str, float], human: HumanTable
+    metric_scores: Mapping[str, float], human: Mapping[str, float]
 ) -> tuple[float, float]:
     """(Pearson, Spearman) of metric vs human scores aligned by system id."""
     metric_ids = set(metric_scores)
-    human_ids = set(human.scores)
+    human_ids = set(human)
     if metric_ids != human_ids:
         raise SystemMismatchError(metric_ids - human_ids, human_ids - metric_ids)
     systems = sorted(metric_ids)
@@ -243,7 +236,7 @@ def correlate(
             f"correlation needs at least 3 systems, got {len(systems)}"
         )
     xs = [metric_scores[s] for s in systems]
-    ys = [human.scores[s] for s in systems]
+    ys = [human[s] for s in systems]
     return pearson(xs, ys), spearman(xs, ys)
 
 
@@ -285,13 +278,13 @@ def _scores(rows: Iterable[tuple[int, list[str]]], name: int, score: int) -> dic
     return scores
 
 
-def load_human_table(text: str) -> HumanTable:
-    """Parse a TSV of ``system<TAB>score`` rows below that exact header."""
+def load_human_table(text: str) -> dict[str, float]:
+    """System -> score from a TSV of ``system<TAB>score`` rows below that exact header."""
     rows = _table(text)
     head_line, header = next(rows, (1, []))
     if header != ["system", "score"]:
         raise ParseError("expected header 'system<TAB>score'", head_line)
-    return HumanTable(_scores(rows, 0, 1))
+    return _scores(rows, 0, 1)
 
 
 def load_metric_scores(text: str, variant: str | None = None) -> dict[str, float]:

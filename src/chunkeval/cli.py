@@ -1,11 +1,14 @@
 """Command-line interface: extract, evaluate, chunks, stats, correlate.
 
 Exit codes: 0 success, 2 usage error, 3 data error. Diagnostics go to
-stderr, data to stdout (or to the file given with -o).
+stderr. Each command returns its output text, and ``main`` writes it to
+stdout (or to the file given with -o); ``_render`` turns a report into
+JSON or TSV.
 """
 
 import argparse
 import gc
+import io
 import json
 import sys
 from collections.abc import Iterator
@@ -313,8 +316,8 @@ def _read_blocks(path: str) -> Iterator[str]:
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        text = data[: exc.start].decode("utf-8-sig")
-        if rest := text.replace("\r\n", "\n").replace("\r", "\n")[done:]:
+        text = io.TextIOWrapper(io.BytesIO(data[: exc.start]), encoding="utf-8-sig").read()
+        if rest := text[done:]:
             yield rest
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     raise DataError(f"{path}: not UTF-8 text ({reason})")
@@ -430,13 +433,10 @@ def _resolve_configs(args, chunked):
     return configs, meta
 
 
-def _format_report(rows: list[dict], meta: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
-    lines = [f"# {key}: {value}" for key, value in meta.items()]
-    lines.append("\t".join(REPORT_COLUMNS))
-    for row in rows:
-        lines.append("\t".join(str(row[c]) for c in REPORT_COLUMNS))
+def _render(args, payload, lines: list[str]) -> str:
+    """A report's text: ``payload`` as JSON under ``--format json``, else ``lines``."""
+    if args.format == "json":
+        return json.dumps(payload, indent=2) + "\n"
     return "\n".join(lines) + "\n"
 
 
@@ -461,14 +461,12 @@ def _format_tables(tables: list[list[list[str]]], fmt: str) -> str:
 # --- commands --------------------------------------------------------------
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> str:
     pairs = load_parallel(_read(args.src), _read(args.tgt))
-    samples = [AnnotatedSample(src, {0: extract_edits(src, tgt)}) for src, tgt in pairs]
-    _write_out(args, emit_m2(samples))
-    return 0
+    return emit_m2([AnnotatedSample(src, {0: extract_edits(src, tgt)}) for src, tgt in pairs])
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> str:
     chunked = _load_chunked(args)
     configs, meta = _resolve_configs(args, chunked)
     scored: dict = {}  # a -acc variant reuses its twin's scoring pass
@@ -476,17 +474,18 @@ def cmd_evaluate(args) -> int:
         run_variant(chunked, v, cfg, args.fn_on_mismatch, scored=scored).as_row(args.system)
         for v, cfg in configs.items()
     ]
-    _write_out(args, _format_report(rows, meta, args.format))
-    return 0
+    lines = [f"# {key}: {value}" for key, value in meta.items()]
+    lines.append("\t".join(REPORT_COLUMNS))
+    lines += ["\t".join(str(row[c]) for c in REPORT_COLUMNS) for row in rows]
+    return _render(args, {"meta": meta, "rows": rows}, lines)
 
 
-def cmd_chunks(args) -> int:
+def cmd_chunks(args) -> str:
     tables = [chunk_table(cs, args.only_changed) for cs in _load_chunked(args)]
-    _write_out(args, _format_tables(tables, args.format))
-    return 0
+    return _format_tables(tables, args.format)
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> str:
     samples = list(_kept_samples(args, parse_m2(_read_blocks(args.ref)), 2).values())
     stats = boundary_stats(samples, per_pass_mean=args.per_pass_mean)
     payload = {
@@ -502,35 +501,22 @@ def cmd_stats(args) -> int:
     for key, value in payload.items():
         if isinstance(value, float):
             payload[key] = round(value, 4)
-    if args.format == "json":
-        _write_out(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = [f"{key}\t{value}" for key, value in payload.items()]
-        _write_out(args, "\n".join(lines) + "\n")
-    return 0
+    return _render(args, payload, [f"{key}\t{value}" for key, value in payload.items()])
 
 
-def cmd_correlate(args) -> int:
+def cmd_correlate(args) -> str:
     metric = load_metric_scores(_read(args.scores), args.variant)
     human = load_human_table(_read(args.human))
     gamma, rho = correlate(metric, human)
     systems = sorted(metric)
-    if args.format == "json":
-        payload = {
-            "pearson": round(gamma, 4),
-            "spearman": round(rho, 4),
-            "systems": [
-                {"system": s, "metric": metric[s], "human": human.scores[s]}
-                for s in systems
-            ],
-        }
-        _write_out(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = [f"pearson\t{gamma:.4f}", f"spearman\t{rho:.4f}", ""]
-        lines.append("system\tmetric\thuman")
-        lines.extend(f"{s}\t{metric[s]}\t{human.scores[s]}" for s in systems)
-        _write_out(args, "\n".join(lines) + "\n")
-    return 0
+    payload = {
+        "pearson": round(gamma, 4),
+        "spearman": round(rho, 4),
+        "systems": [{"system": s, "metric": metric[s], "human": human[s]} for s in systems],
+    }
+    lines = [f"pearson\t{gamma:.4f}", f"spearman\t{rho:.4f}", "", "system\tmetric\thuman"]
+    lines += [f"{s}\t{metric[s]}\t{human[s]}" for s in systems]
+    return _render(args, payload, lines)
 
 
 _COMMANDS = {
@@ -543,7 +529,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command with the cyclic garbage collector paused.
+    """Run one command and write the text it returns, with the cyclic
+    garbage collector paused.
 
     A command keeps what it reads until it returns, and its objects form no
     cycles beyond the parsers', so collecting during it would only walk
@@ -554,7 +541,8 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         args = parse_args(argv)
-        return _COMMANDS[args.command](args)
+        _write_out(args, _COMMANDS[args.command](args))
+        return 0
     except (DataError, OSError) as exc:
         _warn(str(exc))
         return 3

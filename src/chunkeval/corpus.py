@@ -79,6 +79,10 @@ class Edit:
     type_label: str = UNKNOWN_TYPE
 
     def __post_init__(self):
+        if isinstance(self.replacement, str):  # tuple() would split it into characters
+            raise TypeError(
+                f"replacement must be a sequence of tokens, not the str {self.replacement!r}"
+            )
         object.__setattr__(self, "replacement", tuple(self.replacement))
         if self.start < 0 or self.end < self.start:
             raise BoundsError(f"bad edit interval [{self.start}, {self.end})")

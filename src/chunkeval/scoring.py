@@ -36,7 +36,8 @@ class WeightConfig:
     """Scale factors and clip bounds for the length-weight curves.
 
     All curves pass through weight 1.0 at ``x == ell`` before clipping.
-    A TN weight is the constant 1: it has no curve and no field.
+    A TN weight is the constant 1: it has no curve and no field. Each
+    ``clip_*`` pair is stored as a tuple, so a config given lists hashes.
     """
 
     alpha_tp: float = 2.0
@@ -50,6 +51,8 @@ class WeightConfig:
 
     def __post_init__(self):
         for f in fields(self):
+            if f.name.startswith("clip_"):
+                object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
             check_weight_field(f.name, getattr(self, f.name))
 
 
@@ -342,14 +345,17 @@ def run_variant(
 ) -> VariantResult:
     """Score a dataset under one variant with a fully resolved config.
 
-    One ``scored`` dict serves one ``chunked`` list in one command: it keeps a result
-    per (assumption, level, cfg, fn_on_mismatch), so ``-acc`` twins share a pass.
+    A ``scored`` dict keeps a result per (assumption, level, cfg, fn_on_mismatch),
+    so ``-acc`` twins share a pass. Each entry also keeps the ``chunked`` list it
+    was computed for, and answers only for that same object; another list is
+    scored afresh and replaces the entry.
     """
     assumption, level = parse_variant(variant)
     scorer = _SlotScorer(cfg, fn_on_mismatch)  # refuses an unknown fn_on_mismatch
     key = (assumption, level, cfg, fn_on_mismatch)
-    if scored and key in scored:
-        return replace(scored[key], variant=variant, counts=replace(scored[key].counts))
+    hit = scored.get(key) if scored else None
+    if hit and hit[0] is chunked:
+        return replace(hit[1], variant=variant, counts=replace(hit[1].counts))
     chosen: tuple[int | None, ...] = ()
     if assumption == "dep":
         picks = [scorer.dependent(cs) for cs in chunked]
@@ -369,5 +375,5 @@ def run_variant(
         ratios = zip(*(_ratios(*t[:4], cfg.beta) for t in per_sentence))
         scores = Scores(*(math.fsum(r) / len(per_sentence) for r in ratios))
     if scored is not None:
-        scored[key] = VariantResult(variant, replace(totals), scores, chosen)
+        scored[key] = (chunked, VariantResult(variant, replace(totals), scores, chosen))
     return VariantResult(variant, totals, scores, chosen)

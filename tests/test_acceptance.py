@@ -409,7 +409,7 @@ def test_criterion_7b_human_correlation_reproduction():
         samples = parse_m2(open(ref_path, encoding="utf-8").read())
         human = load_human_table(open(ew_path, encoding="utf-8").read())
         metric = {}
-        for system in human.scores:
+        for system in human:
             lines = open(
                 os.path.join(sys_dir, f"{system}.txt"), encoding="utf-8"
             ).read().splitlines()

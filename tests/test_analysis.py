@@ -12,7 +12,6 @@ from chunkeval import (
     AnnotatedSample,
     DegenerateError,
     Edit,
-    HumanTable,
     NoChunksError,
     ParseError,
     SystemMismatchError,
@@ -378,19 +377,19 @@ class TestCorrelation:
 
 class TestCorrelate:
     def test_identity_scores(self):
-        human = HumanTable({"s1": 0.1, "s2": 0.5, "s3": 0.9})
+        human = {"s1": 0.1, "s2": 0.5, "s3": 0.9}
         gamma, rho = correlate({"s1": 0.1, "s2": 0.5, "s3": 0.9}, human)
         assert gamma == pytest.approx(1.0)
         assert rho == pytest.approx(1.0)
 
     def test_insertion_order_invariance(self):
-        human = HumanTable({"a": 1.0, "b": 2.0, "c": 4.0})
+        human = {"a": 1.0, "b": 2.0, "c": 4.0}
         forward = correlate({"a": 0.3, "b": 0.1, "c": 0.8}, human)
         backward = correlate({"c": 0.8, "a": 0.3, "b": 0.1}, human)
         assert forward == backward
 
     def test_system_mismatch(self):
-        human = HumanTable({"a": 1.0, "b": 2.0, "c": 3.0})
+        human = {"a": 1.0, "b": 2.0, "c": 3.0}
         with pytest.raises(SystemMismatchError) as err:
             correlate({"a": 0.1, "b": 0.2, "d": 0.3}, human)
         assert err.value.only_in_metric == ["d"]
@@ -400,7 +399,7 @@ class TestCorrelate:
 class TestScoreTables:
     def test_human_table_round_trip(self):
         table = load_human_table("system\tscore\ns1\t0.5\ns2\t0.25\n")
-        assert table.scores == {"s1": 0.5, "s2": 0.25}
+        assert table == {"s1": 0.5, "s2": 0.25}
 
     def test_human_table_requires_header(self):
         with pytest.raises(ParseError):
@@ -419,7 +418,7 @@ class TestScoreTables:
         # a repeated header is skipped, so two tables concatenated read as one
         for text in (text, text.replace("# note\n", "# note\nsystem \tscore\n")):
             assert load_metric_scores(text) == want
-            assert load_human_table(text).scores == want
+            assert load_human_table(text) == want
         # errors name the physical line
         for bad, line in [("# c\n\ns1\t0.5\n", 3), ("# c\nsystem\tscore\ns1\tx\n", 3)]:
             for load in (load_metric_scores, load_human_table):

@@ -937,13 +937,14 @@ class TestCorrelate:
         assert "" not in accepted
         assert any(c in name[1:-1] for name in accepted for c in " #\u00a0\x0c\x85\u2028")
         plain = "system\tscore\n" + "".join(f"{n}\t{v}\n" for n, v in accepted.items())
-        assert load_human_table(plain).scores == accepted
+        assert load_human_table(plain) == accepted
         assert load_metric_scores(plain) == accepted
         rows = [
             {**dict.fromkeys(REPORT_COLUMNS, 0), "system": n, "F_beta": v, "variant": "dep"}
             for n, v in accepted.items()
         ]
-        report = cli._format_report(rows, {"ell": 2.0}, "tsv")
+        report = "\t".join(REPORT_COLUMNS) + "\n"
+        report += "".join("\t".join(str(row[c]) for c in REPORT_COLUMNS) + "\n" for row in rows)
         assert load_metric_scores(report) == accepted
 
     def test_system_mismatch_is_data_error(self, tmp_path, capsys):
@@ -1179,6 +1180,40 @@ def _write_corpus(path, n_samples, n_refs=(2, 4), seed=17, copied=0.0):
     return path
 
 
+class TestOutFile:
+    def test_out_file_holds_exactly_what_stdout_would(self, data, capsys):
+        # every command's text leaves through one writer, to stdout or to -o
+        (data / "src.txt").write_text(HYP_SOURCE, encoding="utf-8")
+        for name in ("metric", "human"):
+            (data / f"{name}.tsv").write_text(
+                f"system\tscore\ncafé\t0.1\nb\t0.4\nc\t{len(name)}\n", encoding="utf-8"
+            )
+        ref, hyp = str(data / "ref.m2"), str(data / "ref0-as-hyp.txt")
+        argvs = {
+            "extract": ["extract", str(data / "src.txt"), hyp],
+            "evaluate": [
+                "evaluate", hyp, ref, "--system", "café", "--variant=dep", "--variant=sent-indep-acc"
+            ],
+            "chunks": ["chunks", str(data / "source-as-hyp.txt"), ref],
+            "stats": ["stats", ref],
+            "correlate": ["correlate", str(data / "metric.tsv"), str(data / "human.tsv")],
+        }
+        _, commands = cli.build_parser()
+        assert sorted(argvs) == sorted(commands)
+        runs = 0
+        for name, argv in argvs.items():
+            choices = [a.choices for a in commands[name]._actions if a.dest == "format"]
+            for fmt in choices[0] if choices else [None]:
+                full = argv + (["--format", fmt] if fmt else [])
+                code, printed, _ = run(capsys, full)
+                assert code == 0 and printed, full
+                out = data / f"{name}-{fmt}.out"
+                assert run(capsys, full + ["-o", str(out)])[:2] == (0, ""), full
+                assert out.read_bytes() == printed.encode("utf-8"), full
+                runs += 1
+        assert runs == 9
+
+
 class TestGarbageCollector:
     """A command runs with the cyclic collector paused and then restores it."""
 
@@ -1206,7 +1241,7 @@ class TestGarbageCollector:
     def test_command_runs_with_the_collector_paused(self, data, capsys, monkeypatch):
         seen = []
         monkeypatch.setitem(
-            cli._COMMANDS, "stats", lambda args: seen.append(gc.isenabled()) or 0
+            cli._COMMANDS, "stats", lambda args: seen.append(gc.isenabled()) or ""
         )
         gc.enable()
         assert main(["stats", str(data / "ref.m2")]) == 0
@@ -1307,20 +1342,20 @@ _WEIGHTS = {
 class TestScoredOnce:
     """``evaluate`` scores each distinct configuration once per command.
 
-    The oracle is the memo-free path: a fresh ``run_variant`` per requested
-    variant, formatted by ``cli._format_report``.
+    The oracle is the memo-free path: ``main`` with ``cli.run_variant``
+    patched to drop ``scored``, so each requested variant scores afresh.
     """
 
     @staticmethod
-    def memo_free_report(argv):
-        args = cli.parse_args(argv)
-        chunked = cli._load_chunked(args)
-        configs, meta = cli._resolve_configs(args, chunked)
-        rows = [
-            run_variant(chunked, v, cfg, args.fn_on_mismatch).as_row(args.system)
-            for v, cfg in configs.items()
-        ]
-        return cli._format_report(rows, meta, args.format)
+    def memo_free_report(capsys, argv):
+        def fresh(*args, scored=None, **kwargs):
+            return run_variant(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "run_variant", fresh)
+            code, out, _ = run(capsys, argv)
+        assert code == 0
+        return out
 
     def assert_reports_match_oracle(self, capsys, argv):
         for order in _ORDERS.values():
@@ -1328,7 +1363,7 @@ class TestScoredOnce:
                 for fmt in ("tsv", "json"):
                     full = argv + [f"--variant={v}" for v in order]
                     full += ["--fn-on-mismatch", mode, "--format", fmt]
-                    want = self.memo_free_report(full)
+                    want = self.memo_free_report(capsys, full)
                     capsys.readouterr()
                     code, out, _ = run(capsys, full)
                     assert (code, out) == (0, want), (order, mode, fmt)

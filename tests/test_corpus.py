@@ -171,6 +171,13 @@ class TestEditInvariants:
         with pytest.raises(TypeError, match="type label must be a str, got None"):
             Edit(0, 1, ("x",), None)
 
+    def test_str_replacement_rejected(self):
+        # tuple("word") would be four one-character tokens
+        with pytest.raises(TypeError, match="sequence of tokens, not the str 'word'"):
+            Edit(0, 1, "word")
+        for tokens in (["w", "o"], ("w", "o")):
+            assert Edit(0, 1, tokens).replacement == ("w", "o")
+
 
 SINGLE = "S a b\nA 0 1|||R:X|||c|||REQUIRED|||-NONE-|||0\n"
 

@@ -605,6 +605,17 @@ class TestWeightConfig:
             WeightConfig(beta=1e200)
         assert WeightConfig(beta=1e150).beta == 1e150
 
+    def test_clip_lists_are_stored_as_tuples(self):
+        listed = replace(default_config("dep"), clip_tp=[0.5, 2.0], clip_fn=[1.0, 1.0])
+        tupled = replace(default_config("dep"), clip_tp=(0.5, 2.0), clip_fn=(1.0, 1.0))
+        assert (listed.clip_tp, listed.clip_fn) == ((0.5, 2.0), (1.0, 1.0))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        cs = partition(("a", "b"), [Edit(0, 1, ("x",))], [(0, [Edit(0, 1, ("x",))])])
+        scored = {}
+        result = run_variant([cs], "dep", listed, scored=scored)
+        assert result == run_variant([cs], "dep", tupled)
+        assert list(scored) == [("dep", "corpus", tupled, "fp-only")]
+
     def test_variant_profiles(self):
         corpus = default_config("indep-acc")
         assert corpus.alpha_tp == 2.0
@@ -702,6 +713,21 @@ class TestScoredMemo:
             assert got == run_variant(batch, v, c, m)
         # each request scores differently from the first, so a hit would show
         assert all(got.scores != results[0].scores for got in results[1:])
+
+
+    def test_a_memo_answers_only_for_its_own_list(self):
+        right = [partition(("a", "b"), [Edit(0, 1, ("x",))], [(0, [Edit(0, 1, ("x",))])])]
+        wrong = [partition(("a", "b"), [Edit(0, 1, ("y",))], [(0, [Edit(0, 1, ("x",))])])]
+        scored = {}
+        first = run_variant(right, "dep", CFG, scored=scored)
+        assert (first.counts.tp_n, first.counts.fp_n) == (1, 0)
+        got = run_variant(wrong, "dep", CFG, scored=scored)
+        assert (got.counts.tp_n, got.counts.fp_n) == (0, 1)
+        assert got == run_variant(wrong, "dep", CFG)
+        # the entry now holds the second list, so its twin hits it
+        assert len(scored) == 1
+        assert run_variant(wrong, "dep-acc", CFG, scored=scored) == replace(got, variant="dep-acc")
+        assert run_variant(list(right), "dep", CFG, scored=scored) == first
 
 
 @pytest.mark.parametrize("mode", ["Both", "fp_only", ""])

@@ -4,9 +4,10 @@ The package's ``__version__`` is the version ``pyproject.toml`` declares,
 ``__all__`` lists exactly what the package imports, each ``WeightConfig``
 field has one ``evaluate`` flag, ``corpus.split_lines`` is the one line
 splitter, ``chunker.splice_slots`` the one code that splices edits into
-slots, ``cli._read_blocks`` the one file reader and ``cli._write_out`` the
-one file writer, the CLI parses every M2 file block by block, and
-``__main__.py`` is the one module entry point. The README's
+slots, ``cli._read_blocks`` the one file reader, ``cli._write_out`` the
+one file writer (called only by ``main``, with the text a command returns)
+and ``cli._render`` the one JSON writer, the CLI parses every M2 file block
+by block, and ``__main__.py`` is the one module entry point. The README's
 Library example imports only public names, runs, and scores as
 ``evaluate`` does.
 """
@@ -222,6 +223,22 @@ def test_read_blocks_is_the_only_file_reader():
     writers = {(name, func) for call, name, func in found if call == "write_text"}
     assert readers == {("cli.py", "_read_blocks")}
     assert writers == {("cli.py", "_write_out")}
+
+
+def test_reports_leave_by_one_writer_and_one_renderer():
+    # each command returns its text, main writes it, and _render alone makes JSON
+    tree = dict(_modules())["cli.py"]
+    owner = {}
+    for func in ast.walk(tree):  # breadth first, so inner functions win
+        if isinstance(func, ast.FunctionDef):
+            owner.update((id(node), func.name) for node in ast.walk(func))
+    calls = [
+        (ast.unparse(node.func), owner.get(id(node)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+    assert [func for called, func in calls if called == "_write_out"] == ["main"]
+    assert [func for called, func in calls if called == "json.dumps"] == ["_render"]
 
 
 def test_main_module_is_the_only_entry_point():
