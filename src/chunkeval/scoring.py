@@ -347,8 +347,8 @@ def run_variant(
 
     A ``scored`` dict keeps a result per (assumption, level, cfg, fn_on_mismatch),
     so ``-acc`` twins share a pass. Each entry also keeps the ``chunked`` list it
-    was computed for, and answers only for that same object; another list is
-    scored afresh and replaces the entry.
+    was computed for, and answers only for that same object, which must not
+    change meanwhile; another list is scored afresh and replaces the entry.
     """
     assumption, level = parse_variant(variant)
     scorer = _SlotScorer(cfg, fn_on_mismatch)  # refuses an unknown fn_on_mismatch

@@ -1184,10 +1184,9 @@ class TestOutFile:
     def test_out_file_holds_exactly_what_stdout_would(self, data, capsys):
         # every command's text leaves through one writer, to stdout or to -o
         (data / "src.txt").write_text(HYP_SOURCE, encoding="utf-8")
-        for name in ("metric", "human"):
-            (data / f"{name}.tsv").write_text(
-                f"system\tscore\ncafé\t0.1\nb\t0.4\nc\t{len(name)}\n", encoding="utf-8"
-            )
+        for name, scores in (("metric", (0.1, 0.4, 0.3)), ("human", (1, 3, 2))):
+            rows = "".join(f"{s}\t{v}\n" for s, v in zip(("café", "b", "c"), scores))
+            (data / f"{name}.tsv").write_text("system\tscore\n" + rows, encoding="utf-8")
         ref, hyp = str(data / "ref.m2"), str(data / "ref0-as-hyp.txt")
         argvs = {
             "extract": ["extract", str(data / "src.txt"), hyp],
