@@ -8,6 +8,7 @@ each reference through ``chunker.splice_slots``, as ``partition`` does.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -181,10 +182,17 @@ def _unit_scale(xs: Sequence[float]) -> list[float]:
     return [math.ldexp(x, shift) for x in xs]
 
 
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient."""
+def _check_scores(xs: Sequence[float], ys: Sequence[float]) -> None:
+    """Raise ValueError unless ``xs`` and ``ys`` are equally long and finite."""
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    if not all(map(math.isfinite, [*xs, *ys])):
+        raise ValueError("scores must be finite")
+
+
+def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Sample Pearson correlation coefficient of finite scores."""
+    _check_scores(xs, ys)
     if len(xs) < 3:
         raise ValueError("need at least 3 points")
     xs, ys = _unit_scale(xs), _unit_scale(ys)
@@ -200,25 +208,15 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def _ranks(xs: Sequence[float]) -> list[float]:
-    """Fractional ranks (1-based), ties averaged."""
-    order = sorted(range(len(xs)), key=lambda i: xs[i])
-    ranks = [0.0] * len(xs)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+    """Fractional ranks (1-based), ties averaged: the mean of a value's first
+    and last place in sorted order."""
+    ordered = sorted(xs)
+    return [(bisect_left(ordered, x) + bisect_right(ordered, x) + 1) / 2 for x in xs]
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Spearman rank correlation: Pearson on average-tie ranks."""
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    """Spearman rank correlation of finite scores: Pearson on average-tie ranks."""
+    _check_scores(xs, ys)
     return pearson(_ranks(xs), _ranks(ys))
 
 

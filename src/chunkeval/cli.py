@@ -63,8 +63,6 @@ def _weight_type(name: str):
     def parse(text: str):
         try:
             value = tuple(map(float, text.split(","))) if pair else float(text)
-            if pair and len(value) != 2:
-                raise ValueError("expected MIN,MAX")
             check_weight_field(name, value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"{exc}; got {text!r}") from exc
@@ -262,22 +260,20 @@ def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
     parser, commands = build_parser()
-    # The first parse finds --config (and any usage error); its values
-    # become defaults, which explicit flags override in the second parse.
-    # Defaults must land on the subcommand's parser: subparsers parse into
-    # a fresh namespace, so defaults set on the top-level parser would be
-    # shadowed.
-    probe = args = parser.parse_args(argv)
-    if probe.config:
-        config = _load_config_file(probe.config, commands[probe.command])
-        # an appending flag would add to a default list, not replace it
-        lists = [key for key, value in config.items() if isinstance(value, list)]
-        appended = {key: config.pop(key) for key in lists}
-        commands[probe.command].set_defaults(**config)
+    # The first parse finds --config (and any usage error). The second parse
+    # defaults each config key to None, and no flag parses to None, so a key
+    # still None was not given on the command line and takes its config
+    # value: explicit flags win. Defaults must land on the subcommand's
+    # parser: subparsers parse into a fresh namespace, so defaults set on the
+    # top-level parser would be shadowed.
+    args = parser.parse_args(argv)
+    if args.config:
+        config = _load_config_file(args.config, commands[args.command])
+        commands[args.command].set_defaults(**dict.fromkeys(config))
         args = parser.parse_args(argv)
-        for key, values in appended.items():
-            if getattr(args, key) is None and values:
-                setattr(args, key, values)
+        for key, value in config.items():
+            if getattr(args, key) is None:
+                setattr(args, key, value)
     if args.command == "evaluate" and args.system is None:
         try:  # the default name, the hypothesis file's stem, is checked the same way
             args.system = _system_name(Path(args.hyp).stem)

@@ -70,7 +70,8 @@ class Edit:
     non-empty replacement; a deletion has an empty replacement over a
     non-empty span. A no-op is never represented as an Edit. An edit holds
     the fields of its M2 line except the annotator, which is the key it is
-    filed under; an unlabelled edit holds ``UNKNOWN_TYPE``.
+    filed under; an unlabelled edit holds ``UNKNOWN_TYPE``. Its bounds are of
+    type ``int`` exactly, as M2 writes them: not a float, nor a bool.
     """
 
     start: int
@@ -84,6 +85,8 @@ class Edit:
                 f"replacement must be a sequence of tokens, not the str {self.replacement!r}"
             )
         object.__setattr__(self, "replacement", tuple(self.replacement))
+        if not (type(self.start) is type(self.end) is int):
+            raise TypeError(f"edit bounds must be ints, got {self.start!r} and {self.end!r}")
         if self.start < 0 or self.end < self.start:
             raise BoundsError(f"bad edit interval [{self.start}, {self.end})")
         if self.start == self.end and not self.replacement:

@@ -10,7 +10,7 @@ dataset's average changed-chunk length.
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .chunker import ChunkedSample
 from .errors import DataError, NoChunksError
@@ -63,6 +63,8 @@ def check_weight_field(name: str, value) -> None:
         if not 1.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 1")
     elif name.startswith("clip_"):
+        if len(value) != 2:
+            raise ValueError("expected MIN,MAX")
         lo, hi = value
         if not 0 < lo <= hi < math.inf:
             raise ValueError(f"{name} must satisfy 0 < min <= max < inf")
@@ -117,11 +119,6 @@ def unweighted(cfg: WeightConfig) -> WeightConfig:
     return replace(cfg, clip_tp=one, clip_fp=one, clip_fn=one)
 
 
-def _clip(value: float, bounds: tuple[float, float]) -> float:
-    lo, hi = bounds
-    return min(max(value, lo), hi)
-
-
 def _exp(z: float) -> float:
     return math.exp(min(z, 700.0))
 
@@ -143,8 +140,8 @@ def length_weight(x: float, cfg: WeightConfig, outcome: str) -> float:
         return 1.0
     if outcome not in ("tp", "fp", "fn"):
         raise ValueError(f"unknown outcome {outcome!r}")
-    alpha = getattr(cfg, "alpha_" + outcome)
-    return _clip(raw_weight(x, alpha, cfg.ell, outcome), getattr(cfg, "clip_" + outcome))
+    lo, hi = getattr(cfg, "clip_" + outcome)
+    return min(max(raw_weight(x, getattr(cfg, "alpha_" + outcome), cfg.ell, outcome), lo), hi)
 
 
 def compute_ell(dataset: Sequence[ChunkedSample]) -> float:
@@ -325,7 +322,7 @@ class VariantResult:
     variant: str
     counts: OutcomeCounts
     scores: Scores
-    chosen_refs: tuple[int | None, ...] = field(default=())
+    chosen_refs: tuple[int | None, ...] = ()
 
     def as_row(self, system: str) -> dict:
         c, s = self.counts, self.scores
@@ -346,34 +343,36 @@ def run_variant(
     """Score a dataset under one variant with a fully resolved config.
 
     A ``scored`` dict keeps a result per (assumption, level, cfg, fn_on_mismatch),
-    so ``-acc`` twins share a pass. Each entry also keeps the ``chunked`` list it
-    was computed for, and answers only for that same object, which must not
-    change meanwhile; another list is scored afresh and replaces the entry.
+    so ``-acc`` twins share a pass. Each entry also keeps a tuple of the samples
+    it was computed for, and answers only when ``chunked`` holds equal samples
+    now; other samples are scored afresh and replace the entry. Every call
+    returns a copy of the entry's result, so no caller shares its counts.
     """
     assumption, level = parse_variant(variant)
     scorer = _SlotScorer(cfg, fn_on_mismatch)  # refuses an unknown fn_on_mismatch
     key = (assumption, level, cfg, fn_on_mismatch)
+    samples = tuple(chunked)
     hit = scored.get(key) if scored else None
-    if hit and hit[0] is chunked:
-        return replace(hit[1], variant=variant, counts=replace(hit[1].counts))
-    chosen: tuple[int | None, ...] = ()
-    if assumption == "dep":
-        picks = [scorer.dependent(cs) for cs in chunked]
-        per_sentence = [totals for totals, _ in picks]
-        chosen = tuple(aid for _, aid in picks)
-    else:
-        per_sentence = [scorer.independent(cs) for cs in chunked]
-    # the eight OutcomeCounts fields over all sentences: math.fsum for weights, sum for counts
-    columns = list(zip(*per_sentence)) or [()] * 8
-    totals = OutcomeCounts(*map(math.fsum, columns[:4]), *map(sum, columns[4:]))
-    if level == "corpus":
-        scores = Scores.from_counts(totals, cfg.beta)
-    else:
-        if not per_sentence:
-            raise DataError(f"{variant}: no sentences to average")
-        # each sentence's P, R, F and Acc, averaged by fsum: F averaged, not recomputed
-        ratios = zip(*(_ratios(*t[:4], cfg.beta) for t in per_sentence))
-        scores = Scores(*(math.fsum(r) / len(per_sentence) for r in ratios))
-    if scored is not None:
-        scored[key] = (chunked, VariantResult(variant, replace(totals), scores, chosen))
-    return VariantResult(variant, totals, scores, chosen)
+    if not hit or hit[0] != samples:
+        chosen: tuple[int | None, ...] = ()
+        if assumption == "dep":
+            picks = [scorer.dependent(cs) for cs in samples]
+            per_sentence = [totals for totals, _ in picks]
+            chosen = tuple(aid for _, aid in picks)
+        else:
+            per_sentence = [scorer.independent(cs) for cs in samples]
+        # the eight OutcomeCounts fields over all sentences: math.fsum for weights, sum for counts
+        columns = list(zip(*per_sentence)) or [()] * 8
+        totals = OutcomeCounts(*map(math.fsum, columns[:4]), *map(sum, columns[4:]))
+        if level == "corpus":
+            scores = Scores.from_counts(totals, cfg.beta)
+        else:
+            if not per_sentence:
+                raise DataError(f"{variant}: no sentences to average")
+            # each sentence's P, R, F and Acc, averaged by fsum: F averaged, not recomputed
+            ratios = zip(*(_ratios(*t[:4], cfg.beta) for t in per_sentence))
+            scores = Scores(*(math.fsum(r) / len(per_sentence) for r in ratios))
+        hit = (samples, VariantResult(variant, totals, scores, chosen))
+        if scored is not None:
+            scored[key] = hit
+    return replace(hit[1], variant=variant, counts=replace(hit[1].counts))

@@ -351,6 +351,44 @@ class TestCorrelation:
     def test_rank_ties_averaged(self):
         assert _ranks([1.0, 2.0, 2.0, 3.0]) == [1.0, 2.5, 2.5, 4.0]
 
+    @staticmethod
+    def ranks_loop(xs):
+        """The sort-and-scan ranking that ``_ranks`` replaced, kept as its oracle."""
+        order = sorted(range(len(xs)), key=lambda i: xs[i])
+        ranks = [0.0] * len(xs)
+        i = 0
+        while i < len(order):
+            j = i
+            while j + 1 < len(order) and xs[order[j + 1]] == xs[order[i]]:
+                j += 1
+            avg = (i + j) / 2 + 1
+            for k in range(i, j + 1):
+                ranks[order[k]] = avg
+            i = j + 1
+        return ranks
+
+    def test_ranks_match_the_loop_bit_for_bit(self):
+        rng = random.Random(131)
+        extremes = [0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 0.5]
+        for _ in range(5000):
+            xs = [
+                rng.choice(extremes) if rng.random() < 0.3 else float(rng.randint(-4, 4))
+                for _ in range(rng.randint(0, 14))
+            ]
+            got, want = _ranks(xs), self.ranks_loop(xs)
+            assert [r.hex() for r in got] == [r.hex() for r in want], xs
+
+    def test_non_finite_scores_rejected(self):
+        finite = [1.0, 2.0, 3.0]
+        for bad in (math.nan, math.inf, -math.inf):
+            for correlation in (pearson, spearman):
+                for xs, ys in (([1.0, 2.0, bad], finite), (finite, [bad, 2.0, 3.0])):
+                    with pytest.raises(ValueError, match="scores must be finite"):
+                        correlation(xs, ys)
+        # Spearman used to rank NaN as a value and return 1.0 beside Pearson's NaN
+        with pytest.raises(ValueError, match="scores must be finite"):
+            correlate({"a": 1.0, "b": 2.0, "c": math.nan}, {"a": 1.0, "b": 2.0, "c": 3.0})
+
     def test_spearman_against_scipy(self):
         rng = random.Random(97)
         for _ in range(100):

@@ -371,6 +371,32 @@ class TestEvaluate:
         assert "# fn_on_mismatch: both" in out
 
     @pytest.mark.parametrize(
+        "line, flags, key, configured, explicit",
+        [
+            # a choice flag given its own default still beats the config key
+            ("fn-on-mismatch=both", ["--fn-on-mismatch", "fp-only"], "fn_on_mismatch", "both", "fp-only"),
+            ("drop-unchanged-refs=no", ["--drop-unchanged-refs"], "drop_unchanged_refs", False, True),
+            ("variant=dep,indep", ["--variant", "sent-dep"], "variant", ["dep", "indep"], ["sent-dep"]),
+        ],
+    )
+    def test_explicit_flag_beats_its_config_key(
+        self, data, tmp_path, line, flags, key, configured, explicit
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        argv = ["evaluate", str(data / "ref0-as-hyp.txt"), str(data / "ref.m2"), "--config", str(cfg)]
+        assert getattr(cli.parse_args(argv), key) == configured
+        assert getattr(cli.parse_args(argv + flags), key) == explicit
+
+    def test_empty_variant_key_falls_back_to_dep(self, data, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant=\n", encoding="utf-8")
+        argv = ["evaluate", str(data / "ref0-as-hyp.txt"), str(data / "ref.m2"), "--config", str(cfg)]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert [r["variant"] for r in report_rows(out)] == ["dep"]
+
+    @pytest.mark.parametrize(
         "flag, value",
         [
             ("--alpha-tp", "1"),

@@ -178,6 +178,12 @@ class TestEditInvariants:
         for tokens in (["w", "o"], ("w", "o")):
             assert Edit(0, 1, tokens).replacement == ("w", "o")
 
+    @pytest.mark.parametrize("start, end", [(0.0, 1), (True, 1), (0, 1.0), (0, True)])
+    def test_bounds_that_are_not_ints_rejected(self, start, end):
+        # emit_m2 would write them as "A 0.0 1" or "A True 1", which parse_m2 refuses
+        with pytest.raises(TypeError, match="edit bounds must be ints"):
+            Edit(start, end, ("x",))
+
 
 SINGLE = "S a b\nA 0 1|||R:X|||c|||REQUIRED|||-NONE-|||0\n"
 

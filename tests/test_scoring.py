@@ -605,6 +605,11 @@ class TestWeightConfig:
             WeightConfig(beta=1e200)
         assert WeightConfig(beta=1e150).beta == 1e150
 
+    def test_clip_must_be_a_pair(self):
+        for bounds in ((1, 2, 3), (1.0,), ()):
+            with pytest.raises(ValueError, match="expected MIN,MAX"):
+                WeightConfig(clip_tp=bounds)
+
     def test_clip_lists_are_stored_as_tuples(self):
         listed = replace(default_config("dep"), clip_tp=[0.5, 2.0], clip_fn=[1.0, 1.0])
         tupled = replace(default_config("dep"), clip_tp=(0.5, 2.0), clip_fn=(1.0, 1.0))
@@ -728,6 +733,36 @@ class TestScoredMemo:
         assert len(scored) == 1
         assert run_variant(wrong, "dep-acc", CFG, scored=scored) == replace(got, variant="dep-acc")
         assert run_variant(list(right), "dep", CFG, scored=scored) == first
+
+    @staticmethod
+    def right_and_wrong():
+        right = partition(("a", "b"), [Edit(0, 1, ("x",))], [(0, [Edit(0, 1, ("x",))])])
+        wrong = partition(("a", "b"), [Edit(0, 1, ("y",))], [(0, [Edit(0, 1, ("x",))])])
+        return right, wrong
+
+    def test_a_list_changed_in_place_scores_afresh(self):
+        right, wrong = self.right_and_wrong()
+        for change, raw_counts in (
+            (lambda ch: ch.append(wrong), (1, 1, 0, 2)),
+            (lambda ch: ch.__setitem__(slice(None), [wrong]), (0, 1, 0, 1)),
+        ):
+            chunked, scored = [right], {}
+            assert raw(run_variant(chunked, "dep", CFG, scored=scored).counts) == (1, 0, 0, 1)
+            change(chunked)
+            got = run_variant(chunked, "dep", CFG, scored=scored)
+            assert raw(got.counts) == raw_counts
+            assert got == run_variant(chunked, "dep", CFG)
+
+    def test_equal_samples_hit_the_memo(self):
+        right, _ = self.right_and_wrong()
+        scored = {}
+        first = run_variant([right], "dep", CFG, scored=scored)
+        (entry,) = scored.values()
+        copy = self.right_and_wrong()[0]
+        assert copy == right and copy is not right
+        assert run_variant([copy], "dep-acc", CFG, scored=scored) == replace(first, variant="dep-acc")
+        # a hit keeps the entry; a miss would have stored a new one
+        assert len(scored) == 1 and next(iter(scored.values())) is entry
 
 
 @pytest.mark.parametrize("mode", ["Both", "fp_only", ""])

@@ -9,7 +9,9 @@ one file writer (called only by ``main``, with the text a command returns)
 and ``cli._render`` the one JSON writer, the CLI parses every M2 file block
 by block, and ``__main__.py`` is the one module entry point. The README's
 Library example imports only public names, runs, and scores as
-``evaluate`` does.
+``evaluate`` does.by block, and ``__main__.py`` is the one module entry point. Each module
+parses under the Python 3.10 grammar. The README's Library example imports
+only public names, runs, and scores as ``evaluate`` does.
 """
 
 import ast
@@ -250,6 +252,17 @@ def test_main_module_is_the_only_entry_point():
         if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)
     ]
     assert guarded == ["__main__.py"]
+
+
+def test_every_module_parses_under_the_oldest_declared_python():
+    """Each module parses with the grammar of Python 3.10, the oldest
+    ``requires-python`` allows.
+
+    This checks grammar only: a stdlib function or argument that 3.10 lacks
+    still parses, so it is not caught here.
+    """
+    for path in sorted((ROOT / "src" / "chunkeval").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=(3, 10))
 
 
 def _library_example() -> str:
