@@ -260,12 +260,11 @@ def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
     parser, commands = build_parser()
-    # The first parse finds --config (and any usage error). The second parse
-    # defaults each config key to None, and no flag parses to None, so a key
-    # still None was not given on the command line and takes its config
-    # value: explicit flags win. Defaults must land on the subcommand's
-    # parser: subparsers parse into a fresh namespace, so defaults set on the
-    # top-level parser would be shadowed.
+    # The first parse finds --config (and any usage error). The second
+    # defaults each config key to None; no flag parses to None, so a key left
+    # None was not given and takes its config value. Defaults must land on
+    # the subcommand's parser: subparsers parse into a fresh namespace, so
+    # defaults set on the top-level parser would be shadowed.
     args = parser.parse_args(argv)
     if args.config:
         config = _load_config_file(args.config, commands[args.command])

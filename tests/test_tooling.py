@@ -7,9 +7,7 @@ splitter, ``chunker.splice_slots`` the one code that splices edits into
 slots, ``cli._read_blocks`` the one file reader, ``cli._write_out`` the
 one file writer (called only by ``main``, with the text a command returns)
 and ``cli._render`` the one JSON writer, the CLI parses every M2 file block
-by block, and ``__main__.py`` is the one module entry point. The README's
-Library example imports only public names, runs, and scores as
-``evaluate`` does.by block, and ``__main__.py`` is the one module entry point. Each module
+by block, and ``__main__.py`` is the one module entry point. Each module
 parses under the Python 3.10 grammar. The README's Library example imports
 only public names, runs, and scores as ``evaluate`` does.
 """
