@@ -1,16 +1,18 @@
 """Boundary statistics and correlation against human judgment tables.
 
-Boundary statistics hold each annotator out in turn, merge the remaining
-annotators' edits into changed slots, and classify every held-out edit as
-falling inside a changed slot (ICC), inside an unchanged chunk (IUC), or
-crossing a boundary (CC). The chunk statistics of ``corpus_stats`` splice
-each reference through ``chunker.splice_slots``, as ``partition`` does.
+Boundary statistics hold each annotator out in turn and classify every
+held-out edit as falling inside a slot merged from the remaining
+annotators' edits (ICC), inside an unchanged chunk (IUC), or crossing a
+boundary (CC), read off one count of each sentence's edits. The chunk
+statistics of ``corpus_stats`` splice each reference through
+``chunker.splice_slots``, as ``partition`` does.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .chunker import slot_spans, splice_slots
 from .corpus import AnnotatedSample, split_lines
@@ -37,46 +39,22 @@ class BoundaryStats:
     edits_total: int
 
 
-def _hold_out(
-    intervals: list[tuple[int, int, int]], held_out: int, edits
-) -> tuple[int, int, int]:
-    """ICC, IUC and CC counts of one annotator's edits against all the others'.
-
-    ``intervals`` holds every annotator's sorted (start, end, id). The others'
-    closed intervals that overlap or touch merge into slots, which take
-    precedence: a point edit on a slot boundary counts as in-chunk.
-    """
-    starts, ends, end = [], [], -1
-    for s, e, aid in intervals:
-        if aid != held_out and e > end:
-            if s > end:
-                starts.append(s)
-                ends.append(e)
-            else:
-                ends[-1] = e
-            end = e
-    starts.append(math.inf)  # a sentinel slot after the source end
-    ends.append(math.inf)
-    icc = iuc = cc = 0
-    j = 0
-    for edit in edits:  # sorted and disjoint, so the slot pointer only moves on
-        s, e = edit.start, edit.end
-        while ends[j] < s:
-            j += 1
-        if starts[j] <= s and e <= ends[j]:
-            icc += 1
-        # in the unchanged chunk before slot j, or in the one after it
-        elif e <= starts[j] or s == ends[j] and e <= starts[j + 1]:
-            iuc += 1
-        else:
-            cc += 1
-    return icc, iuc, cc
-
-
 def boundary_stats(
     samples: Sequence[AnnotatedSample], per_pass_mean: bool = False
 ) -> BoundaryStats:
     """Exhaustive hold-one-out boundary statistics over a reference set.
+
+    Each sentence counts its edits once, over half-positions: ``cover[2 * p]``
+    is how many closed intervals [start, end], insertions included, hold point
+    ``p``, and ``cover[2 * i + 1]`` how many non-empty edits cover token ``i``.
+    The other annotators' intervals that overlap or touch merge into slots,
+    which take precedence over unchanged chunks; an annotator's own edits are
+    disjoint, so a held-out edit is read against the count less its own share.
+    A non-empty edit is ICC when others cover each of its tokens, IUC when
+    nothing else holds any of its tokens or interior points, and CC otherwise.
+    An insertion is ICC when another annotator's interval holds its point (its
+    own are the insertion and a neighbour that ends or starts there), and IUC
+    otherwise.
 
     With ``per_pass_mean`` the three ratios are averaged over hold-out
     passes instead of pooled over all held-out edits; the raw tallies are
@@ -91,13 +69,27 @@ def boundary_stats(
             raise TooFewAnnotatorsError(
                 f"sample {i + 1} has {len(annotations)} annotator(s); need at least 2"
             )
-        intervals = sorted(
-            (e.start, e.end, aid) for aid, edits in annotations.items() for e in edits
-        )
-        for held_out, edits in annotations.items():
+        cover = [0] * (2 * len(sample.source) + 2)
+        for edits in annotations.values():
+            for e in edits:
+                cover[2 * e.start] += 1
+                cover[2 * e.end + 1] -= 1
+        cover = list(accumulate(cover))
+        for edits in annotations.values():
             if not edits:
                 continue
-            local = _hold_out(intervals, held_out, edits)
+            local = [0, 0, 0]
+            last = len(edits) - 1
+            for k, e in enumerate(edits):
+                s, t = e.start, e.end
+                if s == t:
+                    own = 1 + (k > 0 and edits[k - 1].end == s) + (
+                        k < last and edits[k + 1].start == s
+                    )
+                    local[0 if cover[2 * s] > own else 1] += 1
+                else:
+                    inside = cover[2 * s + 1 : 2 * t]
+                    local[0 if min(inside) > 1 else 1 if max(inside) == 1 else 2] += 1
             icc, iuc, cc = icc + local[0], iuc + local[1], cc + local[2]
             if per_pass_mean:
                 m = len(edits)  # every held-out edit has exactly one class
@@ -142,7 +134,7 @@ def corpus_stats(samples: Sequence[AnnotatedSample]) -> dict:
         unchanged_sum += n * len(refs)
         n_refs += len(refs)
         ref_sum += n * len(refs)
-        for edits in refs:
+        for edits in filter(None, refs):  # a reference with no edits splices nothing
             n_edits += len(edits)
             for e in edits:
                 edit_sum += len(e.replacement)

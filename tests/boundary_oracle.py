@@ -1,7 +1,8 @@
 """Per-pass boundary statistics: the reference for ``chunkeval.boundary_stats``.
 
-``chunkeval.analysis.boundary_stats`` sorts each sample's intervals once and
-classifies the held-out edits with one forward sweep per hold-out pass.
+``chunkeval.analysis.boundary_stats`` counts each sample's edits once, per
+token and per point, and classifies each held-out edit by one lookup of
+those counts less its own annotator's share, with no slot merged per pass.
 This ``boundary_stats`` lays out every chunk of every pass with
 ``slot_spans`` and tests each held-out edit against every slot and then
 every unchanged chunk. The tests require the two to agree exactly.

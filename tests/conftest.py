@@ -42,6 +42,27 @@ def random_edit_set(
     return edits
 
 
+def touching_edit_set(
+    rng: random.Random, n_tokens: int, vocab: list[str] = VOCAB
+) -> list[Edit]:
+    """A valid edit set in which an insertion is often followed by an edit of
+    the same set that starts at the same point, a pattern ``random_edit_set``
+    never makes, and edits often touch end to start."""
+    edits: list[Edit] = []
+    pos = 0
+    while pos <= n_tokens:
+        if rng.random() < 0.4:
+            edits.append(Edit(pos, pos, (rng.choice(vocab),)))
+        if pos < n_tokens and rng.random() < 0.5:
+            end = rng.randint(pos + 1, min(n_tokens, pos + 3))
+            replacement = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 2)))
+            edits.append(Edit(pos, end, replacement))
+            pos = end
+        else:
+            pos += rng.randint(1, 2)
+    return edits
+
+
 def random_ref_sets(
     rng: random.Random,
     n_tokens: int,

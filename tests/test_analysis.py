@@ -5,7 +5,7 @@ import boundary_oracle
 import pytest
 import scipy.stats
 import partition_oracle
-from conftest import random_ref_sets, random_tokens
+from conftest import random_ref_sets, random_tokens, touching_edit_set
 from partition_oracle import CORRECTED, UNCHANGED, chunk_length, chunk_views
 
 from chunkeval import (
@@ -76,6 +76,25 @@ class TestBoundaryStats:
         assert stats.iuc_count == 1  # (2,3) vs the pure-insertion partition
         assert stats.cc_count == 0
 
+    @pytest.mark.parametrize(
+        "edit_sets, counts",
+        [
+            # annotator 0's insertion at 1 and its own edit (1,2) merge with
+            # each other only, never with annotator 1's edit (3,4)
+            (([Edit(1, 1, ("q",)), Edit(1, 2, ("x",))], [Edit(3, 4, ("y",))]), (0, 3, 0)),
+            # annotator 1 inserts strictly inside annotator 0's edit (1,3)
+            (([Edit(1, 3, ("x",))], [Edit(2, 2, ("q",))]), (1, 0, 1)),
+            # annotator 1 inserts at the end of (1,3), which stays in the
+            # unchanged chunk before that insertion slot
+            (([Edit(1, 3, ("x",))], [Edit(3, 3, ("q",))]), (1, 1, 0)),
+        ],
+    )
+    def test_insertion_beside_an_edit(self, edit_sets, counts):
+        sample = sample_of("a b c d e", *edit_sets)
+        for stats in (boundary_stats, boundary_oracle.boundary_stats):
+            got = stats([sample])
+            assert (got.icc_count, got.iuc_count, got.cc_count) == counts
+
     def test_counts_sum_to_held_out_edits(self):
         rng = random.Random(53)
         for _ in range(200):
@@ -128,9 +147,12 @@ class TestBoundaryStats:
 
     def test_matches_per_pass_oracle(self):
         # repeat-heavy short sources, 2-10 annotators, some of them with no
-        # edits, so point edits often sit on a slot boundary or the source end
+        # edits, so point edits often sit on a slot boundary or the source end;
+        # the touching sets put an annotator's insertion right before its own
+        # edit at the same point
         rng = random.Random(67)
-        no_edits = on_boundary = at_source_end = 0
+        touching_rng = random.Random(71)
+        no_edits = on_boundary = at_source_end = own_touch = 0
         for _ in range(60):
             samples = []
             for _ in range(20):
@@ -138,6 +160,15 @@ class TestBoundaryStats:
                 annotations = {
                     aid: () if rng.random() < 0.2 else tuple(edits)
                     for aid, edits in random_ref_sets(rng, len(source), 2, 10)
+                }
+                samples.append(AnnotatedSample(source, annotations))
+            for _ in range(20):
+                source = random_tokens(touching_rng, 0, 6)
+                annotations = {
+                    aid: touching_edit_set(touching_rng, len(source))
+                    if touching_rng.random() < 0.6
+                    else edits
+                    for aid, edits in random_ref_sets(touching_rng, len(source), 2, 6)
                 }
                 samples.append(AnnotatedSample(source, annotations))
             for per_pass_mean in (False, True):
@@ -155,7 +186,12 @@ class TestBoundaryStats:
                     for e in s.annotations[held_out]:
                         on_boundary += e.start == e.end and e.start in ends
                         at_source_end += e.start == len(s.source)
+                    own = s.annotations[held_out]
+                    own_touch += sum(
+                        a.start == a.end == b.start < b.end for a, b in zip(own, own[1:])
+                    )
         assert no_edits > 1000 and on_boundary > 1000 and at_source_end > 1000
+        assert own_touch > 1000
 
     def test_no_held_out_edits(self):
         samples = [sample_of("a b", [], [])]
