@@ -60,8 +60,6 @@ from .scoring import (
     length_weight,
     raw_weight,
     run_variant,
-    score_sentence_dependent,
-    score_sentence_independent,
     unweighted,
 )
 
@@ -107,8 +105,6 @@ __all__ = [
     "pearson",
     "raw_weight",
     "run_variant",
-    "score_sentence_dependent",
-    "score_sentence_independent",
     "spearman",
     "split_lines",
     "tokenize",

@@ -282,33 +282,6 @@ class _SlotScorer:
         return self._sum(columns.hyp, columns.merged, columns.n_unchanged)
 
 
-def score_sentence_dependent(
-    cs: ChunkedSample, cfg: WeightConfig, fn_on_mismatch: str = FN_FP_ONLY
-) -> tuple[OutcomeCounts, int | None]:
-    """Score against each reference separately and keep the best one.
-
-    The selected reference maximizes the sentence F_beta; ties prefer the
-    higher weighted TP, then the lower annotator id. Returns the winning
-    counts and annotator id (None for a sample without references, which is
-    scored as if against an edit-free reference).
-    """
-    totals, aid = _SlotScorer(cfg, fn_on_mismatch).dependent(cs)
-    return OutcomeCounts(*totals), aid
-
-
-def score_sentence_independent(
-    cs: ChunkedSample, cfg: WeightConfig, fn_on_mismatch: str = FN_FP_ONLY
-) -> OutcomeCounts:
-    """Score each changed slot against all references at once.
-
-    A changed hypothesis chunk is a TP when it matches any reference's chunk
-    at that slot; a kept chunk is a TN unless every reference changed the
-    slot, in which case keeping the source matches no reference and counts
-    as an FN.
-    """
-    return OutcomeCounts(*_SlotScorer(cfg, fn_on_mismatch).independent(cs))
-
-
 # The columns of a score report, in order: the keys of VariantResult.as_row.
 REPORT_COLUMNS = tuple(
     "system tp_w fp_w fn_w tn_w tp_n fp_n fn_n tn_n P R F_beta Acc variant".split()
@@ -341,6 +314,11 @@ def run_variant(
     scored: dict | None = None,
 ) -> VariantResult:
     """Score a dataset under one variant with a fully resolved config.
+
+    Under dependence each sentence is scored against the reference with the
+    highest sentence F_beta, then the higher weighted TP, then the lower
+    annotator id; ``chosen_refs`` holds it per sentence. A sentence without
+    references is scored as if against an edit-free reference, with pick None.
 
     A ``scored`` dict keeps a result per (assumption, level, cfg, fn_on_mismatch),
     so ``-acc`` twins share a pass. Each entry also keeps a tuple of the samples

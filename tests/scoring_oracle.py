@@ -180,19 +180,18 @@ def run_variant(
 ) -> VariantResult:
     """Score ``chunkeval`` samples with an ``OutcomeCounts`` per sentence.
 
-    The counts are summed by ``sum_counts``; at sentence level each
-    sentence's ``Scores`` is built and ``aggregate_sentence`` averages them.
+    Each sentence is scored alone, as a one-sample list of the package's
+    ``run_variant``. The counts are summed by ``sum_counts``; at sentence
+    level each sentence's ``Scores`` is built and ``aggregate_sentence``
+    averages them.
     """
     assumption, level = parse_variant(variant)
     per_sentence: list[OutcomeCounts] = []
     chosen: list[int | None] = []
     for cs in chunked:
-        if assumption == "dep":
-            counts, aid = chunkeval.score_sentence_dependent(cs, cfg, fn_on_mismatch)
-            chosen.append(aid)
-        else:
-            counts = chunkeval.score_sentence_independent(cs, cfg, fn_on_mismatch)
-        per_sentence.append(counts)
+        result = chunkeval.run_variant([cs], assumption, cfg, fn_on_mismatch)
+        per_sentence.append(result.counts)
+        chosen += result.chosen_refs
     totals = sum_counts(per_sentence)
     if level == "corpus":
         scores = _scores(totals, cfg.beta)

@@ -34,8 +34,6 @@ from chunkeval import (
     partition,
     raw_weight,
     run_variant,
-    score_sentence_dependent,
-    score_sentence_independent,
     tokenize,
 )
 from test_chunker import (
@@ -147,15 +145,15 @@ def test_criterion_4_case_study_counts():
             ],
         )
         assert len(sub.changed_indices) == 2
-        dep, _ = score_sentence_dependent(sub, CFG)
+        dep = run_variant([sub], "dep", CFG).counts
         assert (dep.tp_n, dep.fp_n) == (1, 1)
-        ind = score_sentence_independent(sub, CFG)
+        ind = run_variant([sub], "indep", CFG).counts
         assert ind.tp_n == 2
 
         # the full sample adds the going->go slot as a TP under both
         full = top_sample()
-        dep_full, _ = score_sentence_dependent(full, CFG)
-        ind_full = score_sentence_independent(full, CFG)
+        dep_full = run_variant([full], "dep", CFG).counts
+        ind_full = run_variant([full], "indep", CFG).counts
         assert (dep_full.tp_n, dep_full.fp_n) == (2, 1)
         assert ind_full.tp_n == 3
 
@@ -196,8 +194,8 @@ def test_criterion_5_property_suite():
         for _ in range(N_CASES):
             source, hyp_edits, refs = random_case(rng, min_refs=1, max_refs=1)
             cs = partition(source, hyp_edits, refs)
-            dep, _ = score_sentence_dependent(cs, CFG)
-            ind = score_sentence_independent(cs, CFG)
+            dep = run_variant([cs], "dep", CFG).counts
+            ind = run_variant([cs], "indep", CFG).counts
             assert (dep.tp_w, dep.fp_w, dep.fn_w, dep.tn_w) == (
                 ind.tp_w,
                 ind.fp_w,
@@ -215,8 +213,8 @@ def test_criterion_5_property_suite():
         for _ in range(N_CASES):
             source, hyp_edits, refs = random_case(rng)
             cs = partition(source, hyp_edits, refs)
-            dep, _ = score_sentence_dependent(cs, CFG)
-            ind = score_sentence_independent(cs, CFG)
+            dep = run_variant([cs], "dep", CFG).counts
+            ind = run_variant([cs], "indep", CFG).counts
             assert ind.tp_w >= dep.tp_w - 1e-12
             assert ind.fn_w <= dep.fn_w + 1e-12
 
@@ -340,7 +338,7 @@ def test_criterion_6_independent_slot_oracle():
                         ]
                         cs = partition(source, hyp_edits, refs)
                         assert cs.changed_indices == (1,)
-                        counts = score_sentence_independent(cs, CFG, mode)
+                        counts = run_variant([cs], "indep", CFG, mode).counts
                         expected = OutcomeCounts()
                         for outcome, length in oracle_slot_outcomes(
                             hyp_status, ref_statuses, mode

@@ -29,8 +29,6 @@ from chunkeval import (
     emit_m2,
     partition,
     run_variant,
-    score_sentence_dependent,
-    score_sentence_independent,
 )
 from chunkeval.scoring import FN_MODES, parse_variant
 
@@ -42,9 +40,7 @@ CORPUS_VARIANTS = [v for v in VARIANTS if parse_variant(v)[1] == "corpus"]
 
 def _totals(source, hyp_edits, refs, assumption, mode):
     cs = partition(source, hyp_edits, refs)
-    if assumption == "dep":
-        return score_sentence_dependent(cs, CFG, mode)[0]
-    return score_sentence_independent(cs, CFG, mode)
+    return run_variant([cs], assumption, CFG, mode).counts
 
 
 def _check(seed, rewrite, assumptions) -> int:

@@ -32,8 +32,6 @@ from chunkeval import (
     partition,
     raw_weight,
     run_variant,
-    score_sentence_dependent,
-    score_sentence_independent,
     unweighted,
 )
 from chunkeval.scoring import FN_MODES, parse_variant
@@ -119,14 +117,15 @@ class TestDependent:
         assert slots == [1, 3, 5]
         # restrict to the first two slots by scoring a sub-sample equivalent:
         # count outcomes manually from the winning reference
-        counts, _ = score_sentence_dependent(cs, CFG)
+        counts = run_variant([cs], "dep", CFG).counts
         assert raw(counts) == (2, 1, 0, 4)
 
     def test_hyp_identical_to_reference(self):
         source = ("a", "b", "c")
         ref0 = [Edit(0, 1, ("x",)), Edit(2, 3, ("y",))]
         cs = partition(source, list(ref0), [(0, ref0), (1, [Edit(0, 1, ("q",))])])
-        counts, chosen = score_sentence_dependent(cs, CFG)
+        result = run_variant([cs], "dep", CFG)
+        counts, chosen = result.counts, result.chosen_refs[0]
         assert chosen == 0
         assert counts.fp_n == counts.fn_n == 0
         assert counts.tp_n == 2
@@ -137,7 +136,8 @@ class TestDependent:
         source = ("a", "b", "c")
         refs = [(0, [Edit(0, 1, ("x",)), Edit(2, 3, ("y",))]), (5, [])]
         cs = partition(source, [], refs)
-        counts, chosen = score_sentence_dependent(cs, CFG)
+        result = run_variant([cs], "dep", CFG)
+        counts, chosen = result.counts, result.chosen_refs[0]
         assert chosen == 5
         assert raw(counts)[:3] == (0, 0, 0)
         p, r = precision_recall(counts)
@@ -149,16 +149,16 @@ class TestDependent:
         hyp = [Edit(1, 2, ("between",))]
         refs = [(0, [Edit(1, 2, ("to",))]), (1, [Edit(1, 2, ("with",))])]
         cs = partition(source, hyp, refs)
-        counts, _ = score_sentence_dependent(cs, CFG)
+        counts = run_variant([cs], "dep", CFG).counts
         assert raw(counts) == (0, 1, 0, 2)
-        both, _ = score_sentence_dependent(cs, CFG, fn_on_mismatch="both")
+        both = run_variant([cs], "dep", CFG, fn_on_mismatch="both").counts
         assert raw(both) == (0, 1, 1, 2)
 
     def test_tie_breaks_prefer_lower_annotator_id(self):
         source = ("a", "b")
         refs = [(3, [Edit(0, 1, ("x",))]), (7, [Edit(0, 1, ("x",))])]
         cs = partition(source, [Edit(0, 1, ("x",))], refs)
-        _, chosen = score_sentence_dependent(cs, CFG)
+        chosen = run_variant([cs], "dep", CFG).chosen_refs[0]
         assert chosen == 3
 
     def test_equal_references_choose_the_lowest_id_in_any_order(self):
@@ -166,20 +166,21 @@ class TestDependent:
         refs = [(5, [Edit(0, 1, ("y",))]), (2, [Edit(0, 1, ("y",))])]
         cs = partition(source, hyp, refs)
         assert cs.slot_columns.distinct == ((2, cs.slot_columns.refs[1]),)
-        _, chosen = score_sentence_dependent(cs, CFG)
+        chosen = run_variant([cs], "dep", CFG).chosen_refs[0]
         old = partition_oracle.partition(source, hyp, refs)
         assert chosen == scoring_oracle.score_sentence_dependent(old, CFG)[1] == 2
 
     def test_sample_without_references(self):
         cs = partition(("a", "b"), [Edit(0, 1, ("x",))], [])
-        counts, chosen = score_sentence_dependent(cs, CFG)
+        result = run_variant([cs], "dep", CFG)
+        counts, chosen = result.counts, result.chosen_refs[0]
         assert chosen is None
         assert raw(counts) == (0, 1, 0, 1)
 
 
 class TestIndependent:
     def test_top_sample_counts(self):
-        counts = score_sentence_independent(top_sample(), CFG)
+        counts = run_variant([top_sample()], "indep", CFG).counts
         assert raw(counts) == (3, 0, 0, 4)
 
     def test_single_reference_matches_dependent(self):
@@ -188,8 +189,8 @@ class TestIndependent:
             source, hyp_edits, refs = random_case(rng, min_refs=1, max_refs=1)
             cs = partition(source, hyp_edits, refs)
             for mode in ("fp-only", "both"):
-                dep, _ = score_sentence_dependent(cs, CFG, mode)
-                ind = score_sentence_independent(cs, CFG, mode)
+                dep = run_variant([cs], "dep", CFG, mode).counts
+                ind = run_variant([cs], "indep", CFG, mode).counts
                 assert raw(dep) == raw(ind)
                 assert (dep.tp_w, dep.fp_w, dep.fn_w, dep.tn_w) == (
                     ind.tp_w,
@@ -203,21 +204,21 @@ class TestIndependent:
         hyp = [Edit(1, 2, ("between",))]
         refs = [(0, [Edit(1, 2, ("to",))]), (1, [Edit(1, 2, ("with",))])]
         cs = partition(source, hyp, refs)
-        assert raw(score_sentence_independent(cs, CFG)) == (0, 1, 0, 2)
-        assert raw(score_sentence_independent(cs, CFG, "both")) == (0, 1, 1, 2)
+        assert raw(run_variant([cs], "indep", CFG).counts) == (0, 1, 0, 2)
+        assert raw(run_variant([cs], "indep", CFG, "both").counts) == (0, 1, 1, 2)
 
     def test_kept_slot_with_any_keeping_ref_is_tn(self):
         source = ("a", "b")
         refs = [(0, [Edit(0, 1, ("x",))]), (1, [])]
         cs = partition(source, [], refs)
-        counts = score_sentence_independent(cs, CFG)
+        counts = run_variant([cs], "indep", CFG).counts
         assert raw(counts) == (0, 0, 0, 2)
 
     def test_kept_slot_where_all_refs_changed_is_fn(self):
         source = ("a", "b")
         refs = [(0, [Edit(0, 1, ("x",))]), (1, [Edit(0, 1, ("y",))])]
         cs = partition(source, [], refs)
-        counts = score_sentence_independent(cs, CFG)
+        counts = run_variant([cs], "indep", CFG).counts
         assert raw(counts) == (0, 0, 1, 1)
 
     def test_do_nothing_hyp_scores_1_when_each_slot_has_a_keeper(self):
@@ -227,10 +228,10 @@ class TestIndependent:
         source = ("a", "b", "c")
         refs = [(0, [Edit(0, 1, ("x",))]), (1, [Edit(2, 3, ("y",))])]
         cs = partition(source, [], refs)
-        ind = score_sentence_independent(cs, CFG)
+        ind = run_variant([cs], "indep", CFG).counts
         assert raw(ind) == (0, 0, 0, 3)
         assert Scores.from_counts(ind, CFG.beta).f_beta == 1.0
-        dep, _ = score_sentence_dependent(cs, CFG)
+        dep = run_variant([cs], "dep", CFG).counts
         assert dep.fn_n == 1
         assert Scores.from_counts(dep, CFG.beta).f_beta == 0.0
 
@@ -301,12 +302,13 @@ class TestMatchesSlotOracle:
             for cfg in profiles + [unweighted(profiles[0]), custom]:
                 for mode in FN_MODES:
                     for cs, old in zip(batch, old_batch):
-                        dep, aid = score_sentence_dependent(cs, cfg, mode)
+                        result = run_variant([cs], "dep", cfg, mode)
+                        dep, aid = result.counts, result.chosen_refs[0]
                         want, want_aid = scoring_oracle.score_sentence_dependent(
                             old, cfg, mode
                         )
                         assert (self.bits(dep), aid) == (self.bits(want), want_aid)
-                        ind = score_sentence_independent(cs, cfg, mode)
+                        ind = run_variant([cs], "indep", cfg, mode).counts
                         want = scoring_oracle.score_sentence_independent(old, cfg, mode)
                         assert self.bits(ind) == self.bits(want)
         assert repeated >= 300
@@ -499,8 +501,8 @@ class TestScoringProperties:
             source, _, refs = random_case(rng)
             pick = rng.choice(refs)
             cs = partition(source, list(pick[1]), refs)
-            dep, _ = score_sentence_dependent(cs, CFG)
-            ind = score_sentence_independent(cs, CFG)
+            dep = run_variant([cs], "dep", CFG).counts
+            ind = run_variant([cs], "indep", CFG).counts
             assert Scores.from_counts(dep, CFG.beta).f_beta == 1.0
             assert Scores.from_counts(ind, CFG.beta).f_beta == 1.0
 
@@ -509,8 +511,8 @@ class TestScoringProperties:
         for _ in range(500):
             source, hyp_edits, refs = random_case(rng)
             cs = partition(source, hyp_edits, refs)
-            dep, _ = score_sentence_dependent(cs, CFG)
-            ind = score_sentence_independent(cs, CFG)
+            dep = run_variant([cs], "dep", CFG).counts
+            ind = run_variant([cs], "indep", CFG).counts
             assert ind.tp_w >= dep.tp_w - 1e-12
             assert ind.fn_w <= dep.fn_w + 1e-12
             assert ind.tp_n >= dep.tp_n
@@ -523,8 +525,8 @@ class TestScoringProperties:
             source, hyp_edits, refs = random_case(rng)
             cs = partition(source, hyp_edits, refs)
             for counts in (
-                score_sentence_dependent(cs, cfg)[0],
-                score_sentence_independent(cs, cfg),
+                run_variant([cs], "dep", cfg).counts,
+                run_variant([cs], "indep", cfg).counts,
             ):
                 assert counts.tp_w == counts.tp_n
                 assert counts.fp_w == counts.fp_n
@@ -551,35 +553,38 @@ class TestWeightPlumbing:
 
     def test_tp_weight_uses_hypothesis_chunk_length(self):
         cs = self.sample([Edit(1, 2, ("x", "y", "z", "w"))])
-        dep, chosen = score_sentence_dependent(cs, self.CFG)
+        result = run_variant([cs], "dep", self.CFG)
+        dep, chosen = result.counts, result.chosen_refs[0]
         assert chosen == 0
         assert dep.tp_w == pytest.approx(self.W4, abs=1e-12)
-        ind = score_sentence_independent(cs, self.CFG)
+        ind = run_variant([cs], "indep", self.CFG).counts
         assert ind.tp_w == pytest.approx(self.W4, abs=1e-12)
 
     def test_fp_weight_uses_hypothesis_chunk_length(self):
         cs = self.sample([Edit(1, 2, ("q",))])
-        dep, chosen = score_sentence_dependent(cs, self.CFG)
+        result = run_variant([cs], "dep", self.CFG)
+        dep, chosen = result.counts, result.chosen_refs[0]
         assert chosen == 0  # scores tie at 0, lower annotator id wins
         assert dep.fp_w == pytest.approx(self.W1_FALL, abs=1e-12)
         assert dep.fn_w == 0.0
 
     def test_mismatch_fn_weights_in_both_mode(self):
         cs = self.sample([Edit(1, 2, ("q",))])
-        dep, _ = score_sentence_dependent(cs, self.CFG, fn_on_mismatch="both")
+        dep = run_variant([cs], "dep", self.CFG, fn_on_mismatch="both").counts
         # selected reference 0 contributes its own chunk length (4)
         assert dep.fn_w == pytest.approx(self.W4, abs=1e-12)
-        ind = score_sentence_independent(cs, self.CFG, fn_on_mismatch="both")
+        ind = run_variant([cs], "indep", self.CFG, fn_on_mismatch="both").counts
         # independent FN takes the shortest changed reference chunk (1)
         assert ind.fn_w == pytest.approx(self.W1_RISE, abs=1e-12)
         assert ind.fp_w == pytest.approx(self.W1_FALL, abs=1e-12)
 
     def test_kept_hypothesis_fn_weights(self):
         cs = self.sample([])
-        dep, chosen = score_sentence_dependent(cs, self.CFG)
+        result = run_variant([cs], "dep", self.CFG)
+        dep, chosen = result.counts, result.chosen_refs[0]
         assert chosen == 0
         assert dep.fn_w == pytest.approx(self.W4, abs=1e-12)
-        ind = score_sentence_independent(cs, self.CFG)
+        ind = run_variant([cs], "indep", self.CFG).counts
         assert ind.fn_w == pytest.approx(self.W1_RISE, abs=1e-12)
 
     def test_falling_and_rising_curves_are_symmetric(self):
@@ -648,8 +653,8 @@ def test_no_credit_for_partially_corrected_slot():
     from test_chunker import mid_sample
 
     cs = mid_sample()
-    dep, _ = score_sentence_dependent(cs, CFG)
-    ind = score_sentence_independent(cs, CFG)
+    dep = run_variant([cs], "dep", CFG).counts
+    ind = run_variant([cs], "indep", CFG).counts
     assert dep.tp_n == 0 and dep.fp_n == 1
     assert ind.tp_n == 0 and ind.fp_n == 1
 
@@ -657,8 +662,8 @@ def test_no_credit_for_partially_corrected_slot():
 def test_fig_sample_scores_do_nothing_hypothesis():
     # the hypothesis keeps the only slot that both references changed
     cs = fig_sample()
-    dep, _ = score_sentence_dependent(cs, CFG)
-    ind = score_sentence_independent(cs, CFG)
+    dep = run_variant([cs], "dep", CFG).counts
+    ind = run_variant([cs], "indep", CFG).counts
     assert raw(dep) == (0, 0, 1, 0)
     assert raw(ind) == (0, 0, 1, 0)
 
@@ -767,7 +772,7 @@ class TestScoredMemo:
 
 @pytest.mark.parametrize("mode", ["Both", "fp_only", ""])
 def test_unknown_fn_on_mismatch_rejected(mode):
-    # at every entry point, before anything is scored or stored
+    # with and without a memo, before anything is scored or stored
     cs = partition(("a", "b"), [Edit(0, 1, ("x",))], [(0, [Edit(0, 1, ("y",))])])
     assert [run_variant([cs], "dep", CFG, m).counts.fn_n for m in FN_MODES] == [1, 0]
     message = re.escape(f"fn_on_mismatch must be one of {FN_MODES}, got {mode!r}")
@@ -779,9 +784,6 @@ def test_unknown_fn_on_mismatch_rejected(mode):
         with pytest.raises(ValueError, match=message):
             run_variant([cs], variant, CFG, mode)
     assert list(scored) == [("dep", "corpus", CFG, "both")]
-    for score_sentence in (score_sentence_dependent, score_sentence_independent):
-        with pytest.raises(ValueError, match=message):
-            score_sentence(cs, CFG, mode)
 
 
 class TestEditLevelOracle:
@@ -834,12 +836,13 @@ class TestEditLevelOracle:
                     return length_weight(length, cfg, outcome)
 
                 for mode in FN_MODES:
-                    dep, aid = score_sentence_dependent(cs, cfg, mode)
+                    result = run_variant([cs], "dep", cfg, mode)
+                    dep, aid = result.counts, result.chosen_refs[0]
                     want, want_aid = edit_level_oracle.score_dependent(
                         source, hyp_edits, refs, mode, weight, cfg.beta
                     )
                     assert (self.totals(dep), aid) == (self.totals(want), want_aid)
-                    ind = score_sentence_independent(cs, cfg, mode)
+                    ind = run_variant([cs], "indep", cfg, mode).counts
                     want = edit_level_oracle.score_independent(
                         source, hyp_edits, refs, mode, weight
                     )
@@ -905,7 +908,7 @@ class TestReferenceAsHypothesis:
             seen["edited"] += bool(edits)
             seen["repeating source"] += len(set(source)) < len(source)
             for mode in FN_MODES:
-                counts, _ = score_sentence_dependent(cs, CFG, mode)
+                counts = run_variant([cs], "dep", CFG, mode).counts
                 if counts.fp_n or counts.fn_n:
                     failed.append((source, aid, edits, mode, counts))
         assert seen["references"] >= self.N_SAMPLES * 3 // 2, seen

@@ -1,7 +1,8 @@
 """The runtime stays on the standard library: no dependencies, no other imports.
 
 The package's ``__version__`` is the version ``pyproject.toml`` declares,
-``__all__`` lists exactly what the package imports, each ``WeightConfig``
+``__all__`` lists exactly what the package imports, every public name has a
+caller in a package module other than ``__init__.py``, each ``WeightConfig``
 field has one ``evaluate`` flag, ``corpus.split_lines`` is the one line
 splitter, ``chunker.splice_slots`` the one code that splices edits into
 slots, ``cli._read_blocks`` the one file reader, ``cli._write_out`` the
@@ -116,6 +117,21 @@ def test_every_private_module_name_is_referenced():
                 referenced.update(alias.name for alias in node.names)
     assert len(defined) > 5  # the walk found the package's private names
     assert [(name, t) for name, t in defined if t not in referenced] == []
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # an export nothing in the package loads is a second door to a rule kept elsewhere
+    loaded = set()
+    for name, tree in _modules():
+        if name == "__init__.py":  # it imports names to re-export them
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert len(loaded) > 100  # the walk found the package's names
+    assert [name for name in chunkeval.__all__ if name not in loaded] == []
 
 
 def test_no_module_imports_a_private_name_of_a_sibling():
